@@ -39,8 +39,9 @@ trace-smoke:
 		-telemetry-trace smoke_trace.json -telemetry-prom smoke_metrics.prom >/dev/null
 	$(GO) run ./cmd/tracecheck -prom smoke_metrics.prom smoke_trace.json
 
-# Short fuzz smoke over the trace codecs and the recovery scan (seed
-# corpora live in internal/*/testdata/fuzz/).
+# Short fuzz smoke over the trace codecs, the recovery scan, the config
+# surfaces and the CMT's recycled buffers (seed corpora live in
+# internal/*/testdata/fuzz/).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseTextRecord -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryReader -fuzztime=5s ./internal/trace
@@ -51,6 +52,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzGCConfig -fuzztime=5s ./internal/faultflags
 	$(GO) test -run='^$$' -fuzz=FuzzHealthConfig -fuzztime=5s ./internal/faultflags
 	$(GO) test -run='^$$' -fuzz=FuzzDftlConfig -fuzztime=5s ./internal/faultflags
+	$(GO) test -run='^$$' -fuzz=FuzzCMTOps -fuzztime=5s ./internal/dftl
 	$(GO) test -run='^$$' -fuzz=FuzzRainConfig -fuzztime=5s ./internal/rain
 
 # Reduced-scale end-to-end run of the drive-to-death harness: every

@@ -161,33 +161,48 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
+// noFrame is the empty value of a slot-index entry and of an LRU link.
+const noFrame int32 = -1
+
 // frame is one resident translation page: its TVPN, the current entries
-// (which may be newer than the flash copy when dirty), and its LRU links.
+// (which may be newer than the flash copy when dirty), and its LRU links —
+// indices into the CMT's frame slab.
 type frame struct {
 	tvpn       uint32
 	dirty      bool
+	prev, next int32
 	entries    []ssd.PPN
-	prev, next *frame
 }
 
 // CMT is the cached mapping table plus the directory state it pages
 // against: the GTD and the modeled content of every flash-resident
 // translation page. RAM cost is bounded by CMTFrames resident frames plus
 // one GTD slot per translation page of the logical space; the flash
-// content map is simulation bookkeeping proportional to the mapped
-// logical footprint (the analog of the shadow content arrays the sim
-// devices keep), not controller RAM.
+// content is simulation bookkeeping proportional to the mapped logical
+// footprint (the analog of the shadow content arrays the sim devices
+// keep), not controller RAM.
+//
+// Frames live in a slab that grows lazily up to CMTFrames and is never
+// shrunk: an evicted (or crash-dropped) frame goes on a free list with its
+// entries buffer, and the next Install reuses both, so the demand path
+// allocates nothing once the cache is warm.
 type CMT struct {
-	cfg    Config
-	epp    int
-	gtd    []ssd.PPN
-	frames map[uint32]*frame
-	head   *frame // most recently used
-	tail   *frame // least recently used
+	cfg Config
+	epp int
+	gtd []ssd.PPN
+	// slot is parallel to gtd: the slab index of each TVPN's resident
+	// frame, or noFrame.
+	slot []int32
+	// flash is parallel to gtd: the modeled entries of each TVPN's
+	// flash-resident translation page, meaningful while its GTD slot is
+	// valid. A TVPN's buffer is allocated on its first commit and
+	// overwritten in place by every later one; relocation only repoints
+	// the GTD. Entries survive power loss; frames do not.
+	flash [][]ssd.PPN
 
-	// flash models the entries stored in each flash-resident translation
-	// page, keyed by its PPN. Entries survive power loss; frames do not.
-	flash map[ssd.PPN][]ssd.PPN
+	frames     []frame // slab; len grows lazily up to CMTFrames
+	free       []int32 // released slab indices, reused LIFO
+	head, tail int32   // most / least recently used, or noFrame
 
 	// Stat is incremented by the CMT and by the store's flash-op half.
 	Stat Stats
@@ -212,16 +227,27 @@ func NewCMT(cfg Config, logicalPages int64, pageSize int) (*CMT, error) {
 	}
 	pages := (logicalPages + int64(epp) - 1) / int64(epp)
 	c := &CMT{
-		cfg:    cfg,
-		epp:    epp,
-		gtd:    make([]ssd.PPN, pages),
-		frames: make(map[uint32]*frame, cfg.CMTFrames),
-		flash:  make(map[ssd.PPN][]ssd.PPN),
+		cfg:   cfg,
+		epp:   epp,
+		gtd:   make([]ssd.PPN, pages),
+		slot:  make([]int32, pages),
+		flash: make([][]ssd.PPN, pages),
+		head:  noFrame,
+		tail:  noFrame,
 	}
-	for i := range c.gtd {
-		c.gtd[i] = ssd.InvalidPPN
+	Clear(c.gtd)
+	for i := range c.slot {
+		c.slot[i] = noFrame
 	}
 	return c, nil
+}
+
+// Clear sets every entry of entries (a translation-page buffer or the GTD)
+// to InvalidPPN: unmapped, or never programmed.
+func Clear(entries []ssd.PPN) {
+	for i := range entries {
+		entries[i] = ssd.InvalidPPN
+	}
 }
 
 // Config returns the (defaulted) configuration the CMT was built with.
@@ -235,16 +261,13 @@ func (c *CMT) TVPNOf(lpn uint32) uint32 { return lpn / uint32(c.epp) }
 func (c *CMT) TransPages() int64 { return int64(len(c.gtd)) }
 
 // Resident reports whether tvpn's frame is in the CMT.
-func (c *CMT) Resident(tvpn uint32) bool {
-	_, ok := c.frames[tvpn]
-	return ok
-}
+func (c *CMT) Resident(tvpn uint32) bool { return c.slot[tvpn] != noFrame }
 
 // ResidentDirty reports whether tvpn's frame is resident with unwritten
 // updates.
 func (c *CMT) ResidentDirty(tvpn uint32) bool {
-	f, ok := c.frames[tvpn]
-	return ok && f.dirty
+	i := c.slot[tvpn]
+	return i != noFrame && c.frames[i].dirty
 }
 
 // Loc returns tvpn's current flash location (InvalidPPN if the
@@ -255,9 +278,9 @@ func (c *CMT) Loc(tvpn uint32) ssd.PPN { return c.gtd[tvpn] }
 // and counts a hit; otherwise a miss is counted and the caller must fault
 // the frame in (EvictVictim + Install).
 func (c *CMT) Touch(tvpn uint32) bool {
-	if f, ok := c.frames[tvpn]; ok {
+	if i := c.slot[tvpn]; i != noFrame {
 		c.Stat.Hits++
-		c.moveToHead(f)
+		c.moveToHead(i)
 		return true
 	}
 	c.Stat.Misses++
@@ -265,18 +288,25 @@ func (c *CMT) Touch(tvpn uint32) bool {
 }
 
 // Full reports whether installing one more frame requires an eviction.
-func (c *CMT) Full() bool { return len(c.frames) >= c.cfg.CMTFrames }
+func (c *CMT) Full() bool { return c.ResidentFrames() >= c.cfg.CMTFrames }
 
 // EvictVictim removes the LRU frame and returns its TVPN, whether it was
 // dirty, and (for a dirty victim) the entries the caller must write back
 // via Committed. ok is false when the CMT is empty.
+//
+// The entries are the evicted frame's own buffer, which returns to the
+// slab: they stay valid until the next Install, which reuses it. The
+// write-back may run GC in between — updates to resident frames, commits
+// and relocations of flash copies — but no GC path installs a frame.
 func (c *CMT) EvictVictim() (tvpn uint32, dirty bool, entries []ssd.PPN, ok bool) {
-	f := c.tail
-	if f == nil {
+	i := c.tail
+	if i == noFrame {
 		return 0, false, nil, false
 	}
-	c.unlink(f)
-	delete(c.frames, f.tvpn)
+	c.unlink(i)
+	f := &c.frames[i]
+	c.slot[f.tvpn] = noFrame
+	c.free = append(c.free, i)
 	return f.tvpn, f.dirty, f.entries, true
 }
 
@@ -286,49 +316,52 @@ func (c *CMT) EvictVictim() (tvpn uint32, dirty bool, entries []ssd.PPN, ok bool
 // never-written TVPN. The caller must have made room (Full + EvictVictim)
 // first. Reports whether a flash copy was loaded.
 func (c *CMT) Install(tvpn uint32) bool {
-	if _, ok := c.frames[tvpn]; ok {
+	if c.slot[tvpn] != noFrame {
 		return false
 	}
-	f := &frame{tvpn: tvpn, entries: c.newEntries()}
-	loaded := false
-	if ppn := c.gtd[tvpn]; ppn != ssd.InvalidPPN {
-		copy(f.entries, c.flash[ppn])
-		loaded = true
+	i := c.takeFrame()
+	f := &c.frames[i]
+	f.tvpn, f.dirty = tvpn, false
+	loaded := c.gtd[tvpn] != ssd.InvalidPPN
+	if loaded {
+		copy(f.entries, c.flash[tvpn])
 		c.Stat.Fills++
+	} else {
+		Clear(f.entries)
 	}
-	c.frames[tvpn] = f
-	c.pushHead(f)
+	c.slot[tvpn] = i
+	c.pushHead(i)
 	return loaded
 }
 
 // Update records a new binding for lpn in its resident frame, marking it
 // dirty. The frame must be resident — MapWrite faults it in first.
 func (c *CMT) Update(lpn uint32, ppn ssd.PPN) error {
-	f, ok := c.frames[c.TVPNOf(lpn)]
-	if !ok {
+	i := c.slot[c.TVPNOf(lpn)]
+	if i == noFrame {
 		return fmt.Errorf("dftl: update of lpn %d with no resident frame for tvpn %d", lpn, c.TVPNOf(lpn))
 	}
+	f := &c.frames[i]
 	f.entries[int(lpn)%c.epp] = ppn
 	f.dirty = true
 	return nil
 }
 
-// Committed records that tvpn's current entries were programmed to flash
-// at newPPN (an eviction write-back, a batch-folded GC relocation, or a
-// recovery checkpoint): the GTD repoints, the modeled flash content moves,
-// and the old location is forgotten. Returns the old PPN so the caller can
-// invalidate the stale flash copy (InvalidPPN if none).
+// Committed records that tvpn's current entries (EntriesPerPage of them)
+// were programmed to flash at newPPN (an eviction write-back, a
+// batch-folded GC relocation, or a recovery checkpoint): the entries are
+// copied into tvpn's modeled flash page and the GTD repoints. Returns the
+// old PPN so the caller can invalidate the stale flash copy (InvalidPPN
+// if none).
 func (c *CMT) Committed(tvpn uint32, entries []ssd.PPN, newPPN ssd.PPN) ssd.PPN {
 	old := c.gtd[tvpn]
-	if old != ssd.InvalidPPN {
-		delete(c.flash, old)
+	if c.flash[tvpn] == nil {
+		c.flash[tvpn] = make([]ssd.PPN, c.epp)
 	}
-	stored := c.newEntries()
-	copy(stored, entries)
-	c.flash[newPPN] = stored
+	copy(c.flash[tvpn], entries)
 	c.gtd[tvpn] = newPPN
-	if f, ok := c.frames[tvpn]; ok {
-		f.dirty = false
+	if i := c.slot[tvpn]; i != noFrame {
+		c.frames[i].dirty = false
 	}
 	return old
 }
@@ -339,8 +372,6 @@ func (c *CMT) Relocated(tvpn uint32, src, dst ssd.PPN) error {
 	if c.gtd[tvpn] != src {
 		return fmt.Errorf("dftl: relocation of tvpn %d from %d, but GTD says %d", tvpn, src, c.gtd[tvpn])
 	}
-	c.flash[dst] = c.flash[src]
-	delete(c.flash, src)
 	c.gtd[tvpn] = dst
 	return nil
 }
@@ -349,106 +380,116 @@ func (c *CMT) Relocated(tvpn uint32, src, dst ssd.PPN) error {
 // resident) — translation GC's batch-evict fold reads the fresh content
 // through this.
 func (c *CMT) FrameEntries(tvpn uint32) []ssd.PPN {
-	if f, ok := c.frames[tvpn]; ok {
-		return f.entries
+	if i := c.slot[tvpn]; i != noFrame {
+		return c.frames[i].entries
 	}
 	return nil
 }
 
-// FlashEntries returns the modeled content of the flash translation page
-// at ppn (nil if ppn holds no live translation page).
-func (c *CMT) FlashEntries(ppn ssd.PPN) []ssd.PPN { return c.flash[ppn] }
+// FlashEntries returns the modeled content of tvpn's flash translation
+// page (nil if it was never programmed). The slice is the model's own
+// buffer, overwritten by the next Committed of tvpn.
+func (c *CMT) FlashEntries(tvpn uint32) []ssd.PPN {
+	if c.gtd[tvpn] == ssd.InvalidPPN {
+		return nil
+	}
+	return c.flash[tvpn]
+}
 
 // EntryOf resolves lpn through the mapping table as flash would see it
 // after the resident frames are flushed: the resident frame's entry when
 // one exists, else the flash copy, else unmapped. Pure inspection — no
 // LRU movement, no stats — for invariant checks and tests.
 func (c *CMT) EntryOf(lpn uint32) (ssd.PPN, bool) {
-	tvpn := c.TVPNOf(lpn)
-	if f, ok := c.frames[tvpn]; ok {
-		p := f.entries[int(lpn)%c.epp]
+	if e := c.FrameEntries(c.TVPNOf(lpn)); e != nil {
+		p := e[int(lpn)%c.epp]
 		return p, p != ssd.InvalidPPN
 	}
-	ppn := c.gtd[tvpn]
-	if ppn == ssd.InvalidPPN {
-		return ssd.InvalidPPN, false
-	}
-	p := c.flash[ppn][int(lpn)%c.epp]
-	return p, p != ssd.InvalidPPN
+	return c.DurableEntryOf(lpn)
 }
 
 // DurableEntryOf resolves lpn through flash alone — what survives a power
 // cut: the last written-back translation page's entry. Test hook for the
 // last-writer-wins property.
 func (c *CMT) DurableEntryOf(lpn uint32) (ssd.PPN, bool) {
-	ppn := c.gtd[c.TVPNOf(lpn)]
-	if ppn == ssd.InvalidPPN {
+	e := c.FlashEntries(c.TVPNOf(lpn))
+	if e == nil {
 		return ssd.InvalidPPN, false
 	}
-	p := c.flash[ppn][int(lpn)%c.epp]
+	p := e[int(lpn)%c.epp]
 	return p, p != ssd.InvalidPPN
 }
 
 // DropFrames models power loss: every resident frame — clean or dirty —
 // vanishes with controller RAM. The GTD and flash content stand, exactly
-// as the on-flash OOB scan would rebuild them.
+// as the on-flash OOB scan would rebuild them. The frames' slab slots and
+// buffers go back on the free list for the recovered drive to reuse.
 func (c *CMT) DropFrames() {
-	c.frames = make(map[uint32]*frame, c.cfg.CMTFrames)
-	c.head, c.tail = nil, nil
+	for i := c.head; i != noFrame; i = c.frames[i].next {
+		c.slot[c.frames[i].tvpn] = noFrame
+		c.free = append(c.free, i)
+	}
+	c.head, c.tail = noFrame, noFrame
 }
 
 // ResetAll clears frames, GTD and modeled flash content — recovery calls
 // it after Rebuild turned every surviving translation page into garbage,
-// just before re-landing the fresh mapping checkpoint.
+// just before re-landing the fresh mapping checkpoint. The flash buffers
+// are kept: with every GTD slot invalid they hold no content, and the
+// checkpoint's commits overwrite them.
 func (c *CMT) ResetAll() {
 	c.DropFrames()
-	for i := range c.gtd {
-		c.gtd[i] = ssd.InvalidPPN
-	}
-	c.flash = make(map[ssd.PPN][]ssd.PPN)
+	Clear(c.gtd)
 }
 
-// ResidentFrames returns how many frames are currently cached.
-func (c *CMT) ResidentFrames() int { return len(c.frames) }
+// ResidentFrames returns how many frames are currently cached: every slab
+// frame not on the free list.
+func (c *CMT) ResidentFrames() int { return len(c.frames) - len(c.free) }
 
-func (c *CMT) newEntries() []ssd.PPN {
-	e := make([]ssd.PPN, c.epp)
-	for i := range e {
-		e[i] = ssd.InvalidPPN
+// takeFrame returns a free slab index: the most recently released frame,
+// or a fresh one while the slab is below capacity.
+func (c *CMT) takeFrame() int32 {
+	if n := len(c.free); n > 0 {
+		i := c.free[n-1]
+		c.free = c.free[:n-1]
+		return i
 	}
-	return e
+	c.frames = append(c.frames, frame{entries: make([]ssd.PPN, c.epp)})
+	return int32(len(c.frames) - 1)
 }
 
-func (c *CMT) pushHead(f *frame) {
-	f.prev = nil
+func (c *CMT) pushHead(i int32) {
+	f := &c.frames[i]
+	f.prev = noFrame
 	f.next = c.head
-	if c.head != nil {
-		c.head.prev = f
+	if c.head != noFrame {
+		c.frames[c.head].prev = i
 	}
-	c.head = f
-	if c.tail == nil {
-		c.tail = f
+	c.head = i
+	if c.tail == noFrame {
+		c.tail = i
 	}
 }
 
-func (c *CMT) unlink(f *frame) {
-	if f.prev != nil {
-		f.prev.next = f.next
+func (c *CMT) unlink(i int32) {
+	f := &c.frames[i]
+	if f.prev != noFrame {
+		c.frames[f.prev].next = f.next
 	} else {
 		c.head = f.next
 	}
-	if f.next != nil {
-		f.next.prev = f.prev
+	if f.next != noFrame {
+		c.frames[f.next].prev = f.prev
 	} else {
 		c.tail = f.prev
 	}
-	f.prev, f.next = nil, nil
+	f.prev, f.next = noFrame, noFrame
 }
 
-func (c *CMT) moveToHead(f *frame) {
-	if c.head == f {
+func (c *CMT) moveToHead(i int32) {
+	if c.head == i {
 		return
 	}
-	c.unlink(f)
-	c.pushHead(f)
+	c.unlink(i)
+	c.pushHead(i)
 }

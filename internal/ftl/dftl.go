@@ -1,9 +1,11 @@
 package ftl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"zombiessd/internal/dftl"
@@ -33,6 +35,7 @@ func (s *Store) AttachCMT(logicalPages int64) error {
 		return err
 	}
 	s.cmt = c
+	s.transBuf = make([]ssd.PPN, dftl.EntriesPerPage(s.geo.PageSize))
 	return nil
 }
 
@@ -287,81 +290,93 @@ func (s *Store) NoteGCMapUpdate(lpn LPN, ppn ssd.PPN) {
 	if s.cmt == nil {
 		return
 	}
-	s.mapPend = append(s.mapPend, mapUpdate{lpn: lpn, ppn: ppn})
+	s.mapPend = append(s.mapPend, mapUpdate{tvpn: s.cmt.TVPNOf(uint32(lpn)), lpn: lpn, ppn: ppn})
 }
 
 // flushMapUpdates folds the queued GC rebindings into the mapping table,
-// one translation page at a time: updates covered by a resident frame just
-// dirty it (deferred to its write-back); the rest read-modify-write their
-// flash translation page. Rebindings a later host write superseded are
-// discarded (the host path already updated the CMT), which LookupOf
-// detects. Called at the erase tail of every GC cycle and after any other
-// bulk relocation (refresh, RAIN reconstruction).
+// one translation page at a time in ascending TVPN order: updates covered
+// by a resident frame just dirty it (deferred to its write-back); the rest
+// read-modify-write their flash translation page. Rebindings a later host
+// write superseded are discarded (the host path already updated the CMT),
+// which LookupOf detects. Called at the erase tail of every GC cycle and
+// after any other bulk relocation (refresh, RAIN reconstruction).
+//
+// The queue is double-buffered: the batch being folded leaves mapPend,
+// which takes the spare buffer for the rebindings this flush keeps queued.
+// A nested flush would find no spare and start a fresh one.
 func (s *Store) flushMapUpdates(now ssd.Time) error {
 	if s.cmt == nil || len(s.mapPend) == 0 {
 		return nil
 	}
-	pend := append([]mapUpdate(nil), s.mapPend...)
-	s.mapPend = s.mapPend[:0]
-	byTVPN := make(map[uint32][]mapUpdate)
-	var order []uint32
-	for _, u := range pend {
+	work := s.mapPend
+	s.mapPend, s.mapSpare = s.mapSpare[:0], nil
+	n := 0
+	for _, u := range work {
 		if s.LookupOf != nil {
 			if cur, ok := s.LookupOf(u.lpn); !ok || cur != u.ppn {
 				continue // superseded: the newer binding already went through MapWrite
 			}
 		}
-		t := s.cmt.TVPNOf(uint32(u.lpn))
-		if s.wbActive && t == s.wbTVPN {
+		if s.wbActive && u.tvpn == s.wbTVPN {
 			// This translation page is mid-write-back; folding now would be
 			// overwritten by its stale snapshot. Keep the update queued.
 			s.mapPend = append(s.mapPend, u)
 			continue
 		}
-		if _, ok := byTVPN[t]; !ok {
-			order = append(order, t)
-		}
-		byTVPN[t] = append(byTVPN[t], u)
+		work[n] = u
+		n++
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	epp := dftl.EntriesPerPage(s.geo.PageSize)
-	for _, tvpn := range order {
-		ups := byTVPN[tvpn]
-		if s.cmt.Resident(tvpn) {
-			for _, u := range ups {
-				if err := s.cmt.Update(uint32(u.lpn), u.ppn); err != nil {
-					return err
-				}
-			}
-			s.cmt.Stat.GCDirtied += int64(len(ups))
-			continue
+	work = work[:n]
+	// Stable, so each translation page's updates apply in queue order.
+	slices.SortStableFunc(work, func(a, b mapUpdate) int { return cmp.Compare(a.tvpn, b.tvpn) })
+	for i := 0; i < len(work); {
+		tvpn, j := work[i].tvpn, i+1
+		for j < len(work) && work[j].tvpn == tvpn {
+			j++
 		}
-		prev := s.Tel.EnterMapPhase(telemetry.OriginMapWriteback)
-		err := s.rmwTransPage(tvpn, ups, epp, now)
-		s.Tel.ExitOrigin(prev)
-		if err != nil {
+		if err := s.foldMapUpdates(tvpn, work[i:j], now); err != nil {
 			return err
 		}
+		i = j
 	}
+	s.mapSpare = work[:0]
 	return nil
+}
+
+// foldMapUpdates applies one translation page's queued rebindings: into
+// its resident frame, or by read-modify-write of its flash copy.
+func (s *Store) foldMapUpdates(tvpn uint32, ups []mapUpdate, now ssd.Time) error {
+	if s.cmt.Resident(tvpn) {
+		for _, u := range ups {
+			if err := s.cmt.Update(uint32(u.lpn), u.ppn); err != nil {
+				return err
+			}
+		}
+		s.cmt.Stat.GCDirtied += int64(len(ups))
+		return nil
+	}
+	prev := s.Tel.EnterMapPhase(telemetry.OriginMapWriteback)
+	defer s.Tel.ExitOrigin(prev)
+	return s.rmwTransPage(tvpn, ups, now)
 }
 
 // rmwTransPage read-modify-writes one non-resident translation page: read
 // the current flash copy (if any), apply the rebindings, program the
-// result, invalidate the stale copy.
-func (s *Store) rmwTransPage(tvpn uint32, ups []mapUpdate, epp int, now ssd.Time) error {
-	entries := make([]ssd.PPN, epp)
-	for i := range entries {
-		entries[i] = ssd.InvalidPPN
-	}
+// result, invalidate the stale copy. The new content is built in the
+// store's scratch buffer, which nothing between here and Committed reuses.
+func (s *Store) rmwTransPage(tvpn uint32, ups []mapUpdate, now ssd.Time) error {
+	entries := s.transBuf
 	if loc := s.cmt.Loc(tvpn); loc != ssd.InvalidPPN {
 		_, err := s.readPageAt(loc, now, now, false)
 		s.cmt.Stat.TransReads++
 		if err != nil && !errors.Is(err, ErrUncorrectable) {
 			return err
 		}
-		copy(entries, s.cmt.FlashEntries(loc))
+		copy(entries, s.cmt.FlashEntries(tvpn))
+	} else {
+		dftl.Clear(entries)
 	}
+	epp := len(entries)
 	for _, u := range ups {
 		entries[int(uint32(u.lpn))%epp] = u.ppn
 	}
@@ -413,10 +428,10 @@ func (s *Store) RecoverDftl(winners []Binding, now ssd.Time) error {
 		if err := s.ensureSpace(plane, now); err != nil {
 			return err
 		}
-		entries := make([]ssd.PPN, epp)
-		for i := range entries {
-			entries[i] = ssd.InvalidPPN
-		}
+		// Built in the RMW scratch only now: ensureSpace above may have
+		// run a GC cycle whose map flush used it.
+		entries := s.transBuf
+		dftl.Clear(entries)
 		for _, b := range byTVPN[tvpn] {
 			ppn := b.PPN
 			if s.LookupOf != nil {

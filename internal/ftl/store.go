@@ -324,10 +324,14 @@ type Store struct {
 	rebuildClock  ssd.Time // when the daemon last re-landed a page
 
 	// DFTL state (see dftl.go): the cached mapping table (nil until
-	// AttachCMT on a DFTL-enabled config), and the mapping updates data GC
-	// has produced but not yet folded into flash translation pages.
-	cmt     *dftl.CMT
-	mapPend []mapUpdate
+	// AttachCMT on a DFTL-enabled config), the mapping updates data GC
+	// has produced but not yet folded into flash translation pages, the
+	// spare half of that double-buffered queue, and the one translation-page
+	// scratch buffer read-modify-writes and recovery checkpoints build in.
+	cmt      *dftl.CMT
+	mapPend  []mapUpdate
+	mapSpare []mapUpdate
+	transBuf []ssd.PPN
 	// wbTVPN/wbActive guard the translation page currently being written
 	// back: its GC rebindings must stay queued, not be folded into flash by
 	// a nested flush, or the write-back's pre-GC snapshot would overwrite
@@ -345,8 +349,9 @@ type Store struct {
 // mapUpdate is one GC-produced mapping rebinding awaiting its translation
 // page (see flushMapUpdates in dftl.go).
 type mapUpdate struct {
-	lpn LPN
-	ppn ssd.PPN
+	tvpn uint32
+	lpn  LPN
+	ppn  ssd.PPN
 }
 
 // NewStore returns a Store over bus with every block free.
