@@ -25,18 +25,32 @@ import (
 // cleanly.
 var ErrDedupCorrupt = errors.New("dedup: metadata corrupt")
 
-// pageMeta describes one live deduplicated physical page.
+// pageMeta describes one live deduplicated physical page. Its logical
+// owners form an intrusive doubly linked list threaded through the
+// Mapper's per-LPN links: every LPN owns at most one live page, so a
+// removal is O(1) and the list keeps the order owners were bound in.
 type pageMeta struct {
-	hash trace.Hash
-	lpns []ftl.LPN // logical owners; len(lpns) is the reference count
+	hash       trace.Hash
+	head, tail ftl.LPN // first and last owner; head is the OOB representative
+	n          int32   // number of owners, the reference count
 }
 
-// Mapper is the deduplicating mapping unit. The forward table is
-// sparse-chunked so a full-geometry logical space costs RAM proportional
-// to the pages actually written, not the address-space size.
+// link is one LPN's position in its page's owner list. An LPN on no list
+// (or alone on one) has both links InvalidLPN, the sparse default, so only
+// pages with several owners materialize link chunks.
+type link struct {
+	prev, next ftl.LPN
+}
+
+var noLink = link{prev: ftl.InvalidLPN, next: ftl.InvalidLPN}
+
+// Mapper is the deduplicating mapping unit. The forward table and the
+// owner links are sparse-chunked so a full-geometry logical space costs RAM
+// proportional to the pages actually written, not the address-space size.
 type Mapper struct {
 	l2p    *sparse.Array[ssd.PPN]
-	pages  map[ssd.PPN]*pageMeta
+	links  *sparse.Array[link]
+	pages  map[ssd.PPN]pageMeta
 	byHash map[trace.Hash]ssd.PPN
 
 	stats Stats
@@ -66,7 +80,8 @@ func NewMapper(logicalPages int64) (*Mapper, error) {
 	}
 	return &Mapper{
 		l2p:    sparse.New(logicalPages, ssd.InvalidPPN),
-		pages:  make(map[ssd.PPN]*pageMeta),
+		links:  sparse.New(logicalPages, noLink),
+		pages:  make(map[ssd.PPN]pageMeta),
 		byHash: make(map[trace.Hash]ssd.PPN),
 	}, nil
 }
@@ -96,7 +111,7 @@ func (m *Mapper) RefCount(ppn ssd.PPN) int {
 	if !ok {
 		return 0
 	}
-	return len(meta.lpns)
+	return int(meta.n)
 }
 
 // ValueOf returns the hash stored at live page ppn.
@@ -119,20 +134,16 @@ func (m *Mapper) Unbind(lpn ftl.LPN) (ppn ssd.PPN, h trace.Hash, garbage, wasBou
 	if ppn == ssd.InvalidPPN {
 		return ssd.InvalidPPN, trace.Hash{}, false, false, nil
 	}
-	meta := m.pages[ppn]
-	if meta == nil {
+	meta, ok := m.pages[ppn]
+	if !ok {
 		return ssd.InvalidPPN, trace.Hash{}, false, false,
 			fmt.Errorf("%w: LPN %d maps to %d which has no metadata", ErrDedupCorrupt, lpn, ppn)
 	}
 	m.stats.Unbinds++
 	m.l2p.Set(int64(lpn), ssd.InvalidPPN)
-	for i, l := range meta.lpns {
-		if l == lpn {
-			meta.lpns = append(meta.lpns[:i], meta.lpns[i+1:]...)
-			break
-		}
-	}
-	if len(meta.lpns) > 0 {
+	if meta.n > 1 {
+		m.unlink(&meta, lpn)
+		m.pages[ppn] = meta
 		return ppn, meta.hash, false, true, nil
 	}
 	// Last owner gone: the page turns into garbage and leaves the live
@@ -144,6 +155,28 @@ func (m *Mapper) Unbind(lpn ftl.LPN) (ppn ssd.PPN, h trace.Hash, garbage, wasBou
 	return ppn, h, true, true, nil
 }
 
+// unlink removes lpn from meta's owner list, which holds at least one
+// other owner, and resets lpn's links to the default.
+func (m *Mapper) unlink(meta *pageMeta, lpn ftl.LPN) {
+	l := m.links.Get(int64(lpn))
+	if l.prev != ftl.InvalidLPN {
+		p := m.links.Get(int64(l.prev))
+		p.next = l.next
+		m.links.Set(int64(l.prev), p)
+	} else {
+		meta.head = l.next
+	}
+	if l.next != ftl.InvalidLPN {
+		n := m.links.Get(int64(l.next))
+		n.prev = l.prev
+		m.links.Set(int64(l.next), n)
+	} else {
+		meta.tail = l.prev
+	}
+	m.links.Set(int64(lpn), noLink)
+	meta.n--
+}
+
 // BindExisting points lpn at the live page ppn (a dedup hit): the reference
 // count grows, no flash operation happens. Binding onto a page that is not
 // live reports ErrDedupCorrupt with the mapping untouched.
@@ -152,9 +185,28 @@ func (m *Mapper) BindExisting(lpn ftl.LPN, ppn ssd.PPN) error {
 	if !ok {
 		return fmt.Errorf("%w: BindExisting(%d, %d): page not live", ErrDedupCorrupt, lpn, ppn)
 	}
+	if err := m.checkUnbound(lpn); err != nil {
+		return err
+	}
 	m.stats.DedupHits++
-	meta.lpns = append(meta.lpns, lpn)
+	m.links.Set(int64(lpn), link{prev: meta.tail, next: ftl.InvalidLPN})
+	t := m.links.Get(int64(meta.tail))
+	t.next = lpn
+	m.links.Set(int64(meta.tail), t)
+	meta.tail = lpn
+	meta.n++
+	m.pages[ppn] = meta
 	m.l2p.Set(int64(lpn), ppn)
+	return nil
+}
+
+// checkUnbound reports ErrDedupCorrupt when lpn is still bound: an LPN
+// sits on at most one owner list, and binding it twice would corrupt the
+// links it shares with its old page's owners.
+func (m *Mapper) checkUnbound(lpn ftl.LPN) error {
+	if old := m.l2p.Get(int64(lpn)); old != ssd.InvalidPPN {
+		return fmt.Errorf("%w: LPN %d is still bound to %d", ErrDedupCorrupt, lpn, old)
+	}
 	return nil
 }
 
@@ -170,29 +222,38 @@ func (m *Mapper) BindNew(lpn ftl.LPN, ppn ssd.PPN, h trace.Hash) error {
 	if _, dup := m.pages[ppn]; dup {
 		return fmt.Errorf("%w: BindNew(%d): page already live", ErrDedupCorrupt, ppn)
 	}
+	if err := m.checkUnbound(lpn); err != nil {
+		return err
+	}
 	m.stats.NewPages++
-	m.pages[ppn] = &pageMeta{hash: h, lpns: []ftl.LPN{lpn}}
+	m.pages[ppn] = pageMeta{hash: h, head: lpn, tail: lpn, n: 1}
 	m.byHash[h] = ppn
 	m.l2p.Set(int64(lpn), ppn)
 	return nil
 }
 
-// Owners returns a copy of the logical owners of live page ppn (nil when
-// the page is not live). The first owner is the page's OOB representative
-// for crash recovery; the rest are journaled separately.
-func (m *Mapper) Owners(ppn ssd.PPN) []ftl.LPN {
+// FirstOwner returns the first logical owner of live page ppn: the page's
+// OOB representative for crash recovery. The rest are journaled
+// separately and follow in bind order through NextOwner.
+func (m *Mapper) FirstOwner(ppn ssd.PPN) (ftl.LPN, bool) {
 	meta, ok := m.pages[ppn]
 	if !ok {
-		return nil
+		return ftl.InvalidLPN, false
 	}
-	out := make([]ftl.LPN, len(meta.lpns))
-	copy(out, meta.lpns)
-	return out
+	return meta.head, true
+}
+
+// NextOwner returns the owner after lpn on its page's owner list, with
+// false when lpn is the last owner or not bound.
+func (m *Mapper) NextOwner(lpn ftl.LPN) (ftl.LPN, bool) {
+	next := m.links.Get(int64(lpn)).next
+	return next, next != ftl.InvalidLPN
 }
 
 // Relocate rebinds every owner of src to dst; GC calls it when it moves a
 // valid page. Unknown pages are ignored (the moved page may belong to a
-// different mapping layer in mixed setups).
+// different mapping layer in mixed setups). The owner list moves with the
+// page, order unchanged.
 func (m *Mapper) Relocate(src, dst ssd.PPN) {
 	meta, ok := m.pages[src]
 	if !ok {
@@ -201,7 +262,7 @@ func (m *Mapper) Relocate(src, dst ssd.PPN) {
 	delete(m.pages, src)
 	m.pages[dst] = meta
 	m.byHash[meta.hash] = dst
-	for _, lpn := range meta.lpns {
+	for lpn, ok := meta.head, true; ok; lpn, ok = m.NextOwner(lpn) {
 		m.l2p.Set(int64(lpn), dst)
 	}
 }

@@ -3,6 +3,7 @@ package dedup
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"zombiessd/internal/ftl"
@@ -115,6 +116,9 @@ func TestRelocateRebindsAllOwners(t *testing.T) {
 	if m.RefCount(50) != 0 || m.RefCount(80) != 3 {
 		t.Fatal("refcounts wrong after relocate")
 	}
+	if got := ownersOf(t, m, 80); !slices.Equal(got, []ftl.LPN{1, 2, 3}) {
+		t.Fatalf("owners after relocate = %v, want [1 2 3] in bind order", got)
+	}
 	// Relocating an unknown page is a no-op.
 	m.Relocate(1, 2)
 	if m.RefCount(2) != 0 {
@@ -144,6 +148,18 @@ func TestCorruptionShapes(t *testing.T) {
 		}},
 		{"BindExisting dead page", func(m *Mapper) error {
 			return m.BindExisting(1, 99)
+		}},
+		{"BindExisting bound LPN", func(m *Mapper) error {
+			if err := m.BindNew(1, 50, h(9)); err != nil {
+				t.Fatal(err)
+			}
+			return m.BindExisting(1, 50)
+		}},
+		{"BindNew bound LPN", func(m *Mapper) error {
+			if err := m.BindNew(1, 50, h(9)); err != nil {
+				t.Fatal(err)
+			}
+			return m.BindNew(1, 60, h(8))
 		}},
 		{"Unbind dangling index entry", func(m *Mapper) error {
 			// Corrupt the mapper directly: an l2p entry pointing at a page
@@ -189,11 +205,12 @@ func TestRandomizedConsistency(t *testing.T) {
 			nextPPN++
 		}
 		if rng.Intn(10) == 0 {
-			// Relocate a random live page, as GC would.
-			for src := range m.pages {
+			// Relocate the live page behind a random LPN, as GC would.
+			// (Map iteration order is randomized, so the page is picked
+			// through the seeded rng to keep the run reproducible.)
+			if src, ok := m.Lookup(ftl.LPN(rng.Intn(lpns))); ok {
 				m.Relocate(src, nextPPN)
 				nextPPN++
-				break
 			}
 		}
 		if i%500 == 0 {
@@ -203,30 +220,50 @@ func TestRandomizedConsistency(t *testing.T) {
 	checkConsistency(t, m)
 }
 
+// checkConsistency cross-checks the l2p table, the per-page owner lists
+// and the content index, and walks every owner list both ways.
 func checkConsistency(t *testing.T, m *Mapper) {
 	t.Helper()
 	owners := 0
 	for ppn, meta := range m.pages {
-		if len(meta.lpns) == 0 {
+		if meta.n <= 0 {
 			t.Fatalf("live page %d has no owners", ppn)
 		}
 		if m.byHash[meta.hash] != ppn {
 			t.Fatalf("content index for %v does not point at %d", meta.hash, ppn)
 		}
-		for _, lpn := range meta.lpns {
+		if prev := m.links.Get(int64(meta.head)).prev; prev != ftl.InvalidLPN {
+			t.Fatalf("head %d of page %d has a predecessor %d", meta.head, ppn, prev)
+		}
+		walked, last := int32(0), ftl.InvalidLPN
+		for lpn := meta.head; lpn != ftl.InvalidLPN; lpn = m.links.Get(int64(lpn)).next {
+			if walked == meta.n {
+				t.Fatalf("owner list of page %d is longer than its count %d", ppn, meta.n)
+			}
+			if prev := m.links.Get(int64(lpn)).prev; prev != last {
+				t.Fatalf("owner %d of page %d links back to %d, want %d", lpn, ppn, prev, last)
+			}
 			if m.l2p.Get(int64(lpn)) != ppn {
 				t.Fatalf("owner %d of page %d maps elsewhere (%d)", lpn, ppn, m.l2p.Get(int64(lpn)))
 			}
-			owners++
+			walked++
+			last = lpn
 		}
+		if walked != meta.n || last != meta.tail {
+			t.Fatalf("page %d: walked %d owners ending at %d, want %d ending at %d",
+				ppn, walked, last, meta.n, meta.tail)
+		}
+		owners += int(walked)
 	}
 	if len(m.byHash) != len(m.pages) {
 		t.Fatalf("content index size %d != live pages %d", len(m.byHash), len(m.pages))
 	}
 	mapped := 0
-	m.l2p.ForEach(func(_ int64, ppn ssd.PPN) {
+	m.l2p.ForEach(func(lpn int64, ppn ssd.PPN) {
 		if ppn != ssd.InvalidPPN {
 			mapped++
+		} else if l := m.links.Get(lpn); l != noLink {
+			t.Fatalf("unbound LPN %d keeps links %+v", lpn, l)
 		}
 	})
 	if mapped != owners {

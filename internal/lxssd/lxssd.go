@@ -18,60 +18,46 @@ package lxssd
 
 import (
 	"fmt"
+	"math"
 
 	"zombiessd/internal/core"
 	"zombiessd/internal/ssd"
 	"zombiessd/internal/trace"
 )
 
+// nilRec is the null record index.
+const nilRec int32 = -1
+
 // record is one buffered garbage page, tied to the logical address whose
-// update created it.
+// update created it. A record sits on three intrusive lists at once, each
+// linked by slab index: the LRU, its value's copies and its address's
+// garbage pages. Every list keeps insertion order except the LRU, which
+// moves a record to the tail when its address is touched.
 type record struct {
 	lba  uint64
 	hash trace.Hash
 	ppn  ssd.PPN
 
-	prev, next *record
+	links [3]links // indexed by lruList, hashList, lbaList
 }
 
-type recordList struct {
-	head, tail *record
-	n          int
+// The lists a record is linked into. A free slot reuses its LRU links.
+const (
+	lruList = iota
+	hashList
+	lbaList
+)
+
+type links struct {
+	prev, next int32
 }
 
-func (l *recordList) pushTail(r *record) {
-	r.prev, r.next = l.tail, nil
-	if l.tail != nil {
-		l.tail.next = r
-	} else {
-		l.head = r
-	}
-	l.tail = r
-	l.n++
+// chain is the head and tail of one list.
+type chain struct {
+	head, tail int32
 }
 
-func (l *recordList) remove(r *record) {
-	if r.prev != nil {
-		r.prev.next = r.next
-	} else {
-		l.head = r.next
-	}
-	if r.next != nil {
-		r.next.prev = r.prev
-	} else {
-		l.tail = r.prev
-	}
-	r.prev, r.next = nil, nil
-	l.n--
-}
-
-func (l *recordList) moveToTail(r *record) {
-	if l.tail == r {
-		return
-	}
-	l.remove(r)
-	l.pushTail(r)
-}
+var emptyChain = chain{head: nilRec, tail: nilRec}
 
 // Config parameterizes the LX-SSD recycler.
 type Config struct {
@@ -91,17 +77,26 @@ func (c Config) Validate() error {
 	if c.Capacity <= 0 {
 		return fmt.Errorf("lxssd: capacity must be positive, got %d", c.Capacity)
 	}
+	if c.Capacity >= math.MaxInt32 {
+		return fmt.Errorf("lxssd: capacity %d exceeds the record index space", c.Capacity)
+	}
 	return nil
 }
 
-// Pool is the LX-SSD garbage-page recycler.
+// Pool is the LX-SSD garbage-page recycler. Records live in a slab that
+// grows on demand to Capacity+1 slots (Insert admits before it evicts)
+// and recycles freed slots, so a warmed pool allocates nothing.
 type Pool struct {
 	cfg Config
 
-	list   recordList // LRU by LBA-access recency
-	byHash map[trace.Hash][]*record
-	byLBA  map[uint64][]*record
-	byPPN  map[ssd.PPN]*record
+	slab []record
+	free int32 // head of the free-slot list
+	lru  chain // by LBA-access recency: head is least recent
+	n    int
+
+	byHash map[trace.Hash]chain
+	byLBA  map[uint64]chain
+	byPPN  map[ssd.PPN]int32
 
 	// pop counts accesses per value over reads and writes combined —
 	// deliberately conflating the two, as the paper says LX-SSD does.
@@ -118,9 +113,11 @@ func New(cfg Config) (*Pool, error) {
 	}
 	return &Pool{
 		cfg:    cfg,
-		byHash: make(map[trace.Hash][]*record),
-		byLBA:  make(map[uint64][]*record),
-		byPPN:  make(map[ssd.PPN]*record),
+		free:   nilRec,
+		lru:    emptyChain,
+		byHash: make(map[trace.Hash]chain),
+		byLBA:  make(map[uint64]chain),
+		byPPN:  make(map[ssd.PPN]int32),
 		pop:    make(map[trace.Hash]uint16),
 	}, nil
 }
@@ -132,8 +129,15 @@ func (p *Pool) RecordAccess(h trace.Hash, lba uint64) {
 	if c := p.pop[h]; c < ^uint16(0) {
 		p.pop[h] = c + 1
 	}
-	for _, r := range p.byLBA[lba] {
-		p.list.moveToTail(r)
+	c, ok := p.byLBA[lba]
+	if !ok {
+		return
+	}
+	for i := c.head; i != nilRec; i = p.slab[i].links[lbaList].next {
+		if i != p.lru.tail {
+			p.unlink(&p.lru, i, lruList)
+			p.push(&p.lru, i, lruList)
+		}
 	}
 }
 
@@ -145,14 +149,70 @@ func (p *Pool) Insert(h trace.Hash, ppn ssd.PPN, lba uint64) {
 	if p.pop[h] < p.cfg.MinPopularity {
 		return
 	}
-	r := &record{lba: lba, hash: h, ppn: ppn}
-	p.list.pushTail(r)
-	p.byHash[h] = append(p.byHash[h], r)
-	p.byLBA[lba] = append(p.byLBA[lba], r)
-	p.byPPN[ppn] = r
-	for p.list.n > p.cfg.Capacity {
+	i := p.alloc()
+	r := &p.slab[i]
+	r.lba, r.hash, r.ppn = lba, h, ppn
+	p.push(&p.lru, i, lruList)
+	p.n++
+	c, ok := p.byHash[h]
+	if !ok {
+		c = emptyChain
+	}
+	p.push(&c, i, hashList)
+	p.byHash[h] = c
+	c, ok = p.byLBA[lba]
+	if !ok {
+		c = emptyChain
+	}
+	p.push(&c, i, lbaList)
+	p.byLBA[lba] = c
+	p.byPPN[ppn] = i
+	for p.n > p.cfg.Capacity {
 		p.stats.Evictions++
 		p.removeRecord(p.evictionVictim())
+	}
+}
+
+// alloc takes a slot from the free list, or grows the slab by one. The
+// slab never outgrows Capacity+1 slots, so its capacity is capped there.
+func (p *Pool) alloc() int32 {
+	if i := p.free; i != nilRec {
+		p.free = p.slab[i].links[lruList].next
+		return i
+	}
+	if len(p.slab) == cap(p.slab) {
+		grown := make([]record, len(p.slab), min(max(2*cap(p.slab), 64), p.cfg.Capacity+1))
+		copy(grown, p.slab)
+		p.slab = grown
+	}
+	p.slab = append(p.slab, record{})
+	return int32(len(p.slab) - 1)
+}
+
+// push appends slot i to the tail of c, one of the k lists.
+func (p *Pool) push(c *chain, i int32, k int) {
+	l := &p.slab[i].links[k]
+	l.prev, l.next = c.tail, nilRec
+	if c.tail != nilRec {
+		p.slab[c.tail].links[k].next = i
+	} else {
+		c.head = i
+	}
+	c.tail = i
+}
+
+// unlink removes slot i from c, one of the k lists.
+func (p *Pool) unlink(c *chain, i int32, k int) {
+	l := p.slab[i].links[k]
+	if l.prev != nilRec {
+		p.slab[l.prev].links[k].next = l.next
+	} else {
+		c.head = l.next
+	}
+	if l.next != nilRec {
+		p.slab[l.next].links[k].prev = l.prev
+	} else {
+		c.tail = l.prev
 	}
 }
 
@@ -161,17 +221,17 @@ func (p *Pool) Insert(h trace.Hash, ppn ssd.PPN, lba uint64) {
 // probability estimate. The flaw the paper calls out is built in: a value
 // that is only ever *read* scores high and survives, crowding out garbage
 // that would actually be rewritten.
-func (p *Pool) evictionVictim() *record {
+func (p *Pool) evictionVictim() int32 {
 	const window = 8
-	victim := p.list.head
-	best := p.pop[victim.hash]
-	r := victim.next
-	for i := 1; i < window && r != nil; i++ {
-		if pop := p.pop[r.hash]; pop < best {
+	victim := p.lru.head
+	best := p.pop[p.slab[victim].hash]
+	i := p.slab[victim].links[lruList].next
+	for k := 1; k < window && i != nilRec; k++ {
+		if pop := p.pop[p.slab[i].hash]; pop < best {
 			best = pop
-			victim = r
+			victim = i
 		}
-		r = r.next
+		i = p.slab[i].links[lruList].next
 	}
 	return victim
 }
@@ -179,52 +239,54 @@ func (p *Pool) evictionVictim() *record {
 // Lookup searches for a buffered garbage copy of h; on a hit the record is
 // removed and its PPN returned for revival.
 func (p *Pool) Lookup(h trace.Hash) (ssd.PPN, bool) {
-	recs := p.byHash[h]
-	if len(recs) == 0 {
+	c, ok := p.byHash[h]
+	if !ok {
 		p.stats.Misses++
 		return ssd.InvalidPPN, false
 	}
 	p.stats.Hits++
-	r := recs[len(recs)-1]
-	ppn := r.ppn
-	p.removeRecord(r)
+	ppn := p.slab[c.tail].ppn
+	p.removeRecord(c.tail)
 	return ppn, true
 }
 
 // Drop removes the record for ppn, if buffered (GC erased the page).
 func (p *Pool) Drop(ppn ssd.PPN) {
-	r, ok := p.byPPN[ppn]
+	i, ok := p.byPPN[ppn]
 	if !ok {
 		return
 	}
 	p.stats.Drops++
-	p.removeRecord(r)
+	p.removeRecord(i)
 }
 
-func (p *Pool) removeRecord(r *record) {
-	p.list.remove(r)
+// removeRecord unlinks slot i from all three lists and the PPN index and
+// returns it to the free list.
+func (p *Pool) removeRecord(i int32) {
+	r := &p.slab[i]
+	p.unlink(&p.lru, i, lruList)
+	p.n--
 	delete(p.byPPN, r.ppn)
-	p.byHash[r.hash] = removeFrom(p.byHash[r.hash], r)
-	if len(p.byHash[r.hash]) == 0 {
+	c := p.byHash[r.hash]
+	p.unlink(&c, i, hashList)
+	if c.head == nilRec {
 		delete(p.byHash, r.hash)
+	} else {
+		p.byHash[r.hash] = c
 	}
-	p.byLBA[r.lba] = removeFrom(p.byLBA[r.lba], r)
-	if len(p.byLBA[r.lba]) == 0 {
+	c = p.byLBA[r.lba]
+	p.unlink(&c, i, lbaList)
+	if c.head == nilRec {
 		delete(p.byLBA, r.lba)
+	} else {
+		p.byLBA[r.lba] = c
 	}
-}
-
-func removeFrom(recs []*record, r *record) []*record {
-	for i, x := range recs {
-		if x == r {
-			return append(recs[:i], recs[i+1:]...)
-		}
-	}
-	return recs
+	r.links[lruList].next = p.free
+	p.free = i
 }
 
 // Len returns the number of buffered garbage pages.
-func (p *Pool) Len() int { return p.list.n }
+func (p *Pool) Len() int { return p.n }
 
 // Stats returns cumulative counters.
 func (p *Pool) Stats() core.PoolStats { return p.stats }

@@ -1,6 +1,8 @@
 package lxssd
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"zombiessd/internal/ssd"
@@ -23,6 +25,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{Capacity: 0}).Validate(); err == nil {
 		t.Error("accepted zero capacity")
+	}
+	if err := (Config{Capacity: math.MaxInt32}).Validate(); err == nil {
+		t.Error("accepted a capacity past the int32 record index")
 	}
 	if p, err := New(Config{}); err == nil || p != nil {
 		t.Errorf("New with bad config returned (%v, %v), want nil pool and error", p, err)
@@ -154,37 +159,102 @@ func TestIndexConsistencyUnderChurn(t *testing.T) {
 			p.Drop(nextPPN - 1)
 		}
 	}
-	// Walk the list and cross-check every index.
-	walked := 0
-	for r := p.list.head; r != nil; r = r.next {
-		walked++
-		if p.byPPN[r.ppn] != r {
+	checkIndexes(t, p)
+	if p.Len() > 32 {
+		t.Fatalf("capacity violated: %d", p.Len())
+	}
+}
+
+// checkIndexes walks the LRU and cross-checks every index against it:
+// each record is the byPPN entry for its page and sits on its hash's and
+// its address's chains, every chain is well linked in both directions, and
+// each slab slot is either on the LRU or on the free list.
+func checkIndexes(t *testing.T, p *Pool) {
+	t.Helper()
+	live := make(map[int32]bool)
+	walked, last := 0, nilRec
+	for i := p.lru.head; i != nilRec; i = p.slab[i].links[lruList].next {
+		if walked > len(p.slab) {
+			t.Fatal("LRU list does not terminate")
+		}
+		r := &p.slab[i]
+		if r.links[lruList].prev != last {
+			t.Fatalf("LRU slot %d links back to %d, want %d", i, r.links[lruList].prev, last)
+		}
+		if j, ok := p.byPPN[r.ppn]; !ok || j != i {
 			t.Fatalf("byPPN inconsistent for %d", r.ppn)
 		}
-		foundHash := false
-		for _, x := range p.byHash[r.hash] {
-			if x == r {
-				foundHash = true
-			}
-		}
-		if !foundHash {
+		if !slices.Contains(chainSlots(p, p.byHash[r.hash], hashList), i) {
 			t.Fatalf("record %d missing from byHash", r.ppn)
 		}
-		foundLBA := false
-		for _, x := range p.byLBA[r.lba] {
-			if x == r {
-				foundLBA = true
-			}
-		}
-		if !foundLBA {
+		if !slices.Contains(chainSlots(p, p.byLBA[r.lba], lbaList), i) {
 			t.Fatalf("record %d missing from byLBA", r.ppn)
 		}
+		live[i] = true
+		walked++
+		last = i
+	}
+	if last != p.lru.tail {
+		t.Fatalf("LRU ends at %d, tail is %d", last, p.lru.tail)
 	}
 	if walked != p.Len() || walked != len(p.byPPN) {
 		t.Fatalf("walked %d records, Len=%d byPPN=%d", walked, p.Len(), len(p.byPPN))
 	}
-	if p.Len() > 32 {
-		t.Fatalf("capacity violated: %d", p.Len())
+	checkChains(t, p, p.byHash, hashList, live)
+	checkChains(t, p, p.byLBA, lbaList, live)
+	free := 0
+	for i := p.free; i != nilRec; i = p.slab[i].links[lruList].next {
+		if live[i] || free > len(p.slab) {
+			t.Fatalf("free slot %d is live or the free list loops", i)
+		}
+		free++
+	}
+	if free+walked != len(p.slab) {
+		t.Fatalf("%d free + %d live slots, slab has %d", free, walked, len(p.slab))
+	}
+	if len(p.slab) > p.cfg.Capacity+1 || cap(p.slab) > p.cfg.Capacity+1 {
+		t.Fatalf("slab len %d cap %d exceeds Capacity+1 = %d", len(p.slab), cap(p.slab), p.cfg.Capacity+1)
+	}
+}
+
+// chainSlots returns the slots on c, a chain of list k, head to tail. It
+// stops after more slots than the slab holds, so a looping chain shows up
+// as an over-long result instead of a hang.
+func chainSlots(p *Pool, c chain, k int) []int32 {
+	var out []int32
+	for i := c.head; i != nilRec && len(out) <= len(p.slab); i = p.slab[i].links[k].next {
+		out = append(out, i)
+	}
+	return out
+}
+
+// checkChains checks every chain of one index: non-empty, live records
+// only, prev links mirroring next links, the recorded tail at the end, and
+// each live record on exactly one chain.
+func checkChains[K comparable](t *testing.T, p *Pool, idx map[K]chain, k int, live map[int32]bool) {
+	t.Helper()
+	total := 0
+	for key, c := range idx {
+		if c.head == nilRec {
+			t.Fatalf("empty chain left in the index for %v", key)
+		}
+		last := nilRec
+		for _, i := range chainSlots(p, c, k) {
+			if !live[i] || total > len(live) {
+				t.Fatalf("chain for %v reaches dead slot %d or loops", key, i)
+			}
+			if prev := p.slab[i].links[k].prev; prev != last {
+				t.Fatalf("chain for %v: slot %d links back to %d, want %d", key, i, prev, last)
+			}
+			total++
+			last = i
+		}
+		if last != c.tail {
+			t.Fatalf("chain for %v ends at %d, tail is %d", key, last, c.tail)
+		}
+	}
+	if total != len(live) {
+		t.Fatalf("chains hold %d records, LRU holds %d", total, len(live))
 	}
 }
 

@@ -44,17 +44,14 @@ func newDedupDevice(cfg Config, bus *ssd.Bus, store *ftl.Store) (*dedupDevice, e
 	// owners of a deduplicated page are rebound via the durable journal so
 	// recovery restores every reference. The closures read d.dmap so that
 	// post-crash recovery can swap in a rebuilt mapper without rewiring.
-	store.OwnerOf = func(ppn ssd.PPN) (ftl.LPN, bool) {
-		owners := d.dmap.Owners(ppn)
-		if len(owners) == 0 {
-			return 0, false
-		}
-		return owners[0], true
-	}
+	store.OwnerOf = func(ppn ssd.PPN) (ftl.LPN, bool) { return d.dmap.FirstOwner(ppn) }
 	store.OnRelocate = func(src, dst ssd.PPN) {
-		owners := d.dmap.Owners(src)
 		d.dmap.Relocate(src, dst)
-		for _, lpn := range owners[1:] {
+		first, ok := d.dmap.FirstOwner(dst)
+		if !ok {
+			return
+		}
+		for lpn, ok := d.dmap.NextOwner(first); ok; lpn, ok = d.dmap.NextOwner(lpn) {
 			store.AppendBinding(lpn, dst, false)
 			// The store queues the first owner's translation update itself
 			// when it stamps the relocated copy; secondary references are
