@@ -151,6 +151,26 @@ func (s Stats) Sub(base Stats) Stats {
 	}
 }
 
+// Add returns s + d, field by field — the per-tenant accumulation
+// DeviceMetrics arithmetic needs.
+func (s Stats) Add(d Stats) Stats {
+	return Stats{
+		Hits:            s.Hits + d.Hits,
+		Misses:          s.Misses + d.Misses,
+		Fills:           s.Fills + d.Fills,
+		Writebacks:      s.Writebacks + d.Writebacks,
+		BatchFolded:     s.BatchFolded + d.BatchFolded,
+		TransPrograms:   s.TransPrograms + d.TransPrograms,
+		TransReads:      s.TransReads + d.TransReads,
+		TransErased:     s.TransErased + d.TransErased,
+		TransGCRuns:     s.TransGCRuns + d.TransGCRuns,
+		TransRelocated:  s.TransRelocated + d.TransRelocated,
+		GCDirtied:       s.GCDirtied + d.GCDirtied,
+		GCMapRMWs:       s.GCMapRMWs + d.GCMapRMWs,
+		CheckpointPages: s.CheckpointPages + d.CheckpointPages,
+	}
+}
+
 // HitRate returns the CMT hit fraction in [0,1]; 1 when nothing was
 // looked up.
 func (s Stats) HitRate() float64 {

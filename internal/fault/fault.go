@@ -227,6 +227,25 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
+// Add returns s plus d, field-wise.
+func (s Stats) Add(d Stats) Stats {
+	return Stats{
+		ProgramFailures: s.ProgramFailures + d.ProgramFailures,
+		EraseFailures:   s.EraseFailures + d.EraseFailures,
+		ReadRetries:     s.ReadRetries + d.ReadRetries,
+		RetiredBlocks:   s.RetiredBlocks + d.RetiredBlocks,
+		SuspectBlocks:   s.SuspectBlocks + d.SuspectBlocks,
+		Relocations:     s.Relocations + d.Relocations,
+		GCRelands:       s.GCRelands + d.GCRelands,
+		DieFailures:     s.DieFailures + d.DieFailures,
+
+		CorrectableReads:   s.CorrectableReads + d.CorrectableReads,
+		UncorrectableReads: s.UncorrectableReads + d.UncorrectableReads,
+		RefreshWrites:      s.RefreshWrites + d.RefreshWrites,
+		RevivalsDeclined:   s.RevivalsDeclined + d.RevivalsDeclined,
+	}
+}
+
 // Injector draws fault decisions from the plan's deterministic stream. It
 // is purely a decision-maker: it owns no FTL state and keeps no counters —
 // the FTL records the recovery actions it takes. Injector is not safe for

@@ -102,6 +102,18 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
+// Add returns s plus d, field-wise.
+func (s Stats) Add(d Stats) Stats {
+	return Stats{
+		ParityPrograms:      s.ParityPrograms + d.ParityPrograms,
+		StripeReflushes:     s.StripeReflushes + d.StripeReflushes,
+		ReconstructedPages:  s.ReconstructedPages + d.ReconstructedPages,
+		ReconstructionReads: s.ReconstructionReads + d.ReconstructionReads,
+		RebuildPages:        s.RebuildPages + d.RebuildPages,
+		RebuildRefreshes:    s.RebuildRefreshes + d.RebuildRefreshes,
+	}
+}
+
 // Tracker owns the stripe bookkeeping of one drive: which members of each
 // stripe are physically programmed (data mask) and which members the last
 // flushed parity page covers (parity mask). A stripe whose masks differ is
@@ -169,7 +181,7 @@ func (t *Tracker) Stripes() int64 { return int64(len(t.data)) }
 // StripeOf returns the stripe index of page p.
 func (t *Tracker) StripeOf(p ssd.PPN) int64 {
 	ch := int64(p) / t.ppc
-	return (ch / int64(t.w)) * t.ppc + int64(p)%t.ppc
+	return (ch/int64(t.w))*t.ppc + int64(p)%t.ppc
 }
 
 // cig returns p's channel index within its stripe group — its bit

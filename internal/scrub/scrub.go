@@ -106,6 +106,19 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
+// Add returns s plus d, field-wise.
+func (s Stats) Add(d Stats) Stats {
+	return Stats{
+		Ticks:         s.Ticks + d.Ticks,
+		BlocksVisited: s.BlocksVisited + d.BlocksVisited,
+		PagesSampled:  s.PagesSampled + d.PagesSampled,
+		ScrubReads:    s.ScrubReads + d.ScrubReads,
+		Refreshed:     s.Refreshed + d.Refreshed,
+		UECCFound:     s.UECCFound + d.UECCFound,
+		SkippedVisits: s.SkippedVisits + d.SkippedVisits,
+	}
+}
+
 // Scrubber patrols one store. Not safe for concurrent use; it shares the
 // simulator's single-goroutine device contract.
 type Scrubber struct {

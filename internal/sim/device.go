@@ -290,11 +290,42 @@ func (m DeviceMetrics) Sub(prev DeviceMetrics) DeviceMetrics {
 }
 
 // Add returns m plus d, field-wise — the inverse of Sub. The multi-tenant
-// engine uses it to accumulate per-request metric deltas into per-tenant
-// totals.
+// engine uses it to accumulate metric deltas into per-tenant totals.
 func (m DeviceMetrics) Add(d DeviceMetrics) DeviceMetrics {
-	zero := DeviceMetrics{}
-	return d.Sub(zero.Sub(m))
+	return DeviceMetrics{
+		HostWrites:     m.HostWrites + d.HostWrites,
+		HostReads:      m.HostReads + d.HostReads,
+		FlashPrograms:  m.FlashPrograms + d.FlashPrograms,
+		FlashReads:     m.FlashReads + d.FlashReads,
+		FlashErases:    m.FlashErases + d.FlashErases,
+		Revived:        m.Revived + d.Revived,
+		DedupHits:      m.DedupHits + d.DedupHits,
+		UnmappedReads:  m.UnmappedReads + d.UnmappedReads,
+		BufferAbsorbed: m.BufferAbsorbed + d.BufferAbsorbed,
+		BufferReadHits: m.BufferReadHits + d.BufferReadHits,
+		Suspensions:    m.Suspensions + d.Suspensions,
+		GC: ftl.GCStats{
+			Runs:           m.GC.Runs + d.GC.Runs,
+			Relocated:      m.GC.Relocated + d.GC.Relocated,
+			Erased:         m.GC.Erased + d.GC.Erased,
+			Background:     m.GC.Background + d.GC.Background,
+			PartialWindows: m.GC.PartialWindows + d.GC.PartialWindows,
+			PartialPages:   m.GC.PartialPages + d.GC.PartialPages,
+		},
+		Pool: core.PoolStats{
+			Inserts:   m.Pool.Inserts + d.Pool.Inserts,
+			Hits:      m.Pool.Hits + d.Pool.Hits,
+			Misses:    m.Pool.Misses + d.Pool.Misses,
+			Evictions: m.Pool.Evictions + d.Pool.Evictions,
+			Drops:     m.Pool.Drops + d.Pool.Drops,
+			Promoted:  m.Pool.Promoted + d.Pool.Promoted,
+			Demoted:   m.Pool.Demoted + d.Pool.Demoted,
+		},
+		Faults: m.Faults.Add(d.Faults),
+		Scrub:  m.Scrub.Add(d.Scrub),
+		Rain:   m.Rain.Add(d.Rain),
+		Dftl:   m.Dftl.Add(d.Dftl),
+	}
 }
 
 // Device is one simulated SSD processing host requests. Implementations

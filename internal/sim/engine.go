@@ -266,7 +266,6 @@ func RunTenants(dev Device, tenants []TenantTrace, opts EngineOptions) (MultiRes
 		shift = end + ssd.Millisecond
 	}
 	baseline := dev.Metrics()
-	prevSnap := baseline
 
 	// Engine state.
 	arb := newArbiter(opts.Arbiter, tenantConfigs(tenants))
@@ -291,8 +290,24 @@ func RunTenants(dev Device, tenants []TenantTrace, opts EngineOptions) (MultiRes
 	tReads := make([]stats.Histogram, n)
 	tWrites := make([]stats.Histogram, n)
 	tWait := make([]stats.Histogram, n)
-	perMetrics := make([]DeviceMetrics, n)
 	writesRejected := make([]int64, n)
+
+	// Per-tenant device metrics. The device's counters move only inside
+	// Write and Read, so every change between two snapshots belongs to the
+	// one tenant charged in between. A snapshot is taken only when a
+	// dispatch switches tenants, just before the device call, and once
+	// after the run; int64 sums are associative, so the totals equal
+	// snapshots taken around every call exactly.
+	perMetrics := make([]DeviceMetrics, n)
+	prevSnap := baseline
+	charged := -1 // tenant the device activity since prevSnap belongs to
+	settle := func() {
+		if charged >= 0 {
+			cur := dev.Metrics()
+			perMetrics[charged] = perMetrics[charged].Add(cur.Sub(prevSnap))
+			prevSnap = cur
+		}
+	}
 	var res MultiResult
 
 	arrivalOf := func(t, i int) ssd.Time { return shift + ssd.Time(tenants[t].Recs[i].Time) }
@@ -351,6 +366,10 @@ func RunTenants(dev Device, tenants []TenantTrace, opts EngineOptions) (MultiRes
 				submit = arrival
 			}
 			tel.Sample(submit)
+			if multi && pick != charged {
+				settle()
+				charged = pick
+			}
 			var prevTenant int
 			if multi && store != nil {
 				prevTenant = store.EnterTenant(pick)
@@ -386,11 +405,6 @@ func RunTenants(dev Device, tenants []TenantTrace, opts EngineOptions) (MultiRes
 					// accounting stays uniform.
 					writesRejected[pick]++
 					tel.EndRequest(submit)
-					if multi {
-						cur := dev.Metrics()
-						perMetrics[pick] = perMetrics[pick].Add(cur.Sub(prevSnap))
-						prevSnap = cur
-					}
 					inflight[pick]++
 					totalInflight++
 					seq++
@@ -420,11 +434,6 @@ func RunTenants(dev Device, tenants []TenantTrace, opts EngineOptions) (MultiRes
 			tWait[pick].Add(int64(submit - arrival))
 			if end := done - shift; end > res.Makespan {
 				res.Makespan = end
-			}
-			if multi {
-				cur := dev.Metrics()
-				perMetrics[pick] = perMetrics[pick].Add(cur.Sub(prevSnap))
-				prevSnap = cur
 			}
 			inflight[pick]++
 			totalInflight++
@@ -465,6 +474,7 @@ func RunTenants(dev Device, tenants []TenantTrace, opts EngineOptions) (MultiRes
 		now = nextEv
 	}
 
+	settle()
 	res.Metrics = dev.Metrics().Sub(baseline)
 	if hs, ok := dev.(interface{ HealthStats() health.Stats }); ok {
 		res.Health = hs.HealthStats()

@@ -4,6 +4,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"zombiessd/internal/fault"
+	"zombiessd/internal/ftl"
+	"zombiessd/internal/health"
+	"zombiessd/internal/ssd"
+	"zombiessd/internal/trace"
 )
 
 // tenantDevice builds a device sized for the tenant set's combined
@@ -246,4 +252,125 @@ func TestRunTenantsValidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// chargingDevice is the reference model of per-tenant metric charging. It
+// snapshots Metrics around every Write and Read and charges the delta to
+// the tenant whose LPN range holds the page, skipping the leading precond
+// writes (the preconditioning fill, which no tenant owns). It forwards
+// Store and Bus, so the engine sees the inner device's store, telemetry and
+// utilisation exactly as unwrapped.
+type chargingDevice struct {
+	inner   Device
+	bases   []int64 // first LPN of each tenant's range, ascending
+	precond int64
+	per     []DeviceMetrics
+}
+
+func newChargingDevice(inner Device, tenants []TenantTrace, precond int64) *chargingDevice {
+	d := &chargingDevice{inner: inner, precond: precond, per: make([]DeviceMetrics, len(tenants))}
+	var base int64
+	for _, t := range tenants {
+		d.bases = append(d.bases, base)
+		base += t.Footprint
+	}
+	return d
+}
+
+// owner returns the tenant whose range holds lpn.
+func (d *chargingDevice) owner(lpn ftl.LPN) int {
+	t := 0
+	for t+1 < len(d.bases) && int64(lpn) >= d.bases[t+1] {
+		t++
+	}
+	return t
+}
+
+func (d *chargingDevice) charge(lpn ftl.LPN, call func() (ssd.Time, error)) (ssd.Time, error) {
+	before := d.inner.Metrics()
+	done, err := call()
+	t := d.owner(lpn)
+	d.per[t] = d.per[t].Add(d.inner.Metrics().Sub(before))
+	return done, err
+}
+
+func (d *chargingDevice) Write(lpn ftl.LPN, h trace.Hash, now ssd.Time) (ssd.Time, error) {
+	if d.precond > 0 {
+		d.precond--
+		return d.inner.Write(lpn, h, now)
+	}
+	return d.charge(lpn, func() (ssd.Time, error) { return d.inner.Write(lpn, h, now) })
+}
+
+func (d *chargingDevice) Read(lpn ftl.LPN, now ssd.Time) (ssd.Time, error) {
+	return d.charge(lpn, func() (ssd.Time, error) { return d.inner.Read(lpn, now) })
+}
+
+func (d *chargingDevice) Metrics() DeviceMetrics { return d.inner.Metrics() }
+func (d *chargingDevice) Store() *ftl.Store      { return StoreOf(d.inner) }
+func (d *chargingDevice) Bus() *ssd.Bus {
+	return d.inner.(interface{ Bus() *ssd.Bus }).Bus()
+}
+
+// TestTenantMetricsMatchPerRequestCharging checks the engine's deferred
+// per-tenant metric charging (a snapshot only when the dispatched tenant
+// changes) against charging every single device call to its owner: the
+// totals must agree field for field, on a 2-tenant WRR run of the DVP
+// drive and on a governed run whose rejected writes reach the device.
+func TestTenantMetricsMatchPerRequestCharging(t *testing.T) {
+	check := func(t *testing.T, dev Device, tenants []TenantTrace, opts EngineOptions) MultiResult {
+		t.Helper()
+		ref := newChargingDevice(dev, tenants, opts.PreconditionPages)
+		mr, err := RunTenants(ref, tenants, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range mr.Tenants {
+			if tr.Metrics != ref.per[i] {
+				t.Errorf("tenant %s metrics diverge from per-call charging:\n engine %+v\n ref    %+v",
+					tr.Name, tr.Metrics, ref.per[i])
+			}
+		}
+		return mr
+	}
+
+	t.Run("wrr-dvp", func(t *testing.T) {
+		traces := mustGenerate(t, "mail,trans:ia=0.5", 40000, 42)
+		fp := TotalFootprint(traces)
+		mr := check(t, tenantDevice(t, KindDVP, fp), traces, EngineOptions{
+			Arbiter:           ArbWRR,
+			QueueDepth:        4,
+			DeviceSlots:       4,
+			PreconditionPages: fp,
+			LogicalPages:      fp,
+		})
+		for _, tr := range mr.Tenants {
+			if tr.Metrics.HostWrites == 0 || tr.Metrics.FlashPrograms == 0 {
+				t.Errorf("tenant %s charged no writes: %+v", tr.Name, tr.Metrics)
+			}
+		}
+		if mr.Metrics.GC.Runs == 0 || mr.Metrics.Revived == 0 {
+			t.Errorf("run exercised neither GC nor revival: %+v", mr.Metrics)
+		}
+	})
+
+	t.Run("rejected-writes", func(t *testing.T) {
+		cfg := testConfig(KindBaseline, testFootprint)
+		cfg.Faults = fault.Config{Seed: 11, EraseFailProb: 1}
+		cfg.Health = health.Config{MaxRetries: 1}
+		dev, err := NewDevice(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr := check(t, dev, noSpaceTenants(4000, testFootprint/2), EngineOptions{
+			LogicalPages: testFootprint,
+		})
+		var rejected int64
+		for _, tr := range mr.Tenants {
+			rejected += tr.WritesRejected
+		}
+		if rejected == 0 {
+			t.Error("no writes rejected; the read-only path went unexercised")
+		}
+	})
 }

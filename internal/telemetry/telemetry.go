@@ -74,7 +74,7 @@ func (o Origin) String() string {
 const DefaultSampleInterval = 10 * ssd.Millisecond
 
 // DefaultTraceCap bounds the tracer's event ring when the config leaves it
-// zero. At ~100 bytes/event this is a few MB of retained timeline.
+// zero. At 88 bytes per record this is under 6 MB of retained timeline.
 const DefaultTraceCap = 1 << 16
 
 // DefaultSeriesCap bounds the time-series ring when the config leaves it
@@ -360,7 +360,7 @@ func (t *Telemetry) EndRequest(done ssd.Time) {
 		t.clock = done
 	}
 	req := t.attr.end(done)
-	t.tracer.emitRequest(req)
+	t.tracer.emitRequest(&req)
 	if t.OnRequestEnd != nil {
 		t.OnRequestEnd(req)
 	}
