@@ -32,7 +32,7 @@ func main() {
 	flag.Float64Var(&opts.Utilization, "util", opts.Utilization, "drive utilization (footprint / exported capacity)")
 	rf := faultflags.Register(flag.CommandLine)
 	tf := telemetryflags.Register(flag.CommandLine)
-	flag.IntVar(&opts.Jobs, "j", 0, "parallel matrix workers (0 = all cores); results are identical for every value")
+	flag.IntVar(&opts.Jobs, "j", 0, "parallel matrix and sweep workers (0 = all cores); results are identical for every value")
 	telCell := flag.String("telemetry-cell", "mail/dvp-200k",
 		"matrix cell (workload/system) whose telemetry the -telemetry-* exports cover")
 	flag.IntVar(&opts.CrashPoints, "crash-points", experiments.DefaultCrashPoints, "sudden-power-loss points per architecture in the crashsweep experiment")

@@ -3,8 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"zombiessd/internal/fault"
 	"zombiessd/internal/ftl"
@@ -306,42 +304,14 @@ func RunChaossweep(o Options) (*ChaossweepResult, error) {
 
 	// Arms are independent lives; results are keyed by arm index, so the
 	// output is byte-identical for every worker count.
-	jobs := small.Jobs
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
 	arms := make([]ChaosArm, len(archs))
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for ai, a := range archs {
-		wg.Add(1)
-		go func(ai int, name string, cfg sim.Config) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mu.Lock()
-			doomed := firstErr != nil
-			mu.Unlock()
-			if doomed {
-				return
-			}
-			arm, err := runChaosArm(small, name, cfg, recs, footprint, cycles, ai)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			arms[ai] = arm
-		}(ai, a.name, a.cfg)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	errs := parallelCells(len(archs), small.Jobs, func(i int) error {
+		var err error
+		arms[i], err = runChaosArm(small, archs[i].name, archs[i].cfg, recs, footprint, cycles, i)
+		return err
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	return &ChaossweepResult{
 		Workload: "victim-mail + antag-trans",

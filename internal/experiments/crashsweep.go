@@ -3,8 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"zombiessd/internal/fault"
 	"zombiessd/internal/ftl"
@@ -74,10 +72,10 @@ type CrashsweepResult struct {
 // crashPointResult is one device's life: precondition, crash, recover,
 // verify, finish the trace, verify again.
 type crashPointResult struct {
-	crashed        bool
-	violations     int
-	report         recovery.Report
-	preHR, postHR  float64
+	crashed         bool
+	violations      int
+	report          recovery.Report
+	preHR, postHR   float64
 	opsPrecondition int64
 	opsTotal        int64
 }
@@ -273,40 +271,26 @@ func RunCrashsweep(o Options) (*CrashsweepResult, error) {
 
 	// Every (arm, point) cell is an independent simulation.
 	type cellKey struct{ arm, point int }
-	results := make(map[cellKey]crashPointResult)
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
+	var cells []cellKey
+	results := make([][]crashPointResult, len(arms))
 	for ai, arm := range arms {
-		for pi, k := range arm.points {
-			wg.Add(1)
-			go func(ai, pi int, arm armSpec, k int64) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				mu.Lock()
-				doomed := firstErr != nil
-				mu.Unlock()
-				if doomed {
-					return
-				}
-				res, err := runCrashPoint(arm.cfg, recs, footprint, k, arm.cold)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("experiments: crashsweep %s op %d: %w", arm.arch, k, err)
-					}
-					return
-				}
-				results[cellKey{ai, pi}] = res
-			}(ai, pi, arm, k)
+		results[ai] = make([]crashPointResult, len(arm.points))
+		for pi := range arm.points {
+			cells = append(cells, cellKey{ai, pi})
 		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	errs := parallelCells(len(cells), small.Jobs, func(i int) error {
+		c := cells[i]
+		arm := arms[c.arm]
+		k := arm.points[c.point]
+		var err error
+		if results[c.arm][c.point], err = runCrashPoint(arm.cfg, recs, footprint, k, arm.cold); err != nil {
+			return fmt.Errorf("experiments: crashsweep %s op %d: %w", arm.arch, k, err)
+		}
+		return nil
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 
 	out := &CrashsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.CrashSeed}
@@ -314,7 +298,7 @@ func RunCrashsweep(o Options) (*CrashsweepResult, error) {
 		agg := CrashArm{Arch: arm.arch, ColdPool: arm.cold, Points: len(arm.points)}
 		var preSum, postSum float64
 		for pi := range arm.points {
-			r := results[cellKey{ai, pi}]
+			r := results[ai][pi]
 			if r.crashed {
 				agg.Crashed++
 			}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"zombiessd/internal/dftl"
 	"zombiessd/internal/sim"
@@ -153,41 +151,15 @@ func RunDftlsweep(o Options) (*DftlsweepResult, error) {
 	}
 
 	results := make([]sim.Result, len(arms))
-	var mu sync.Mutex
-	var firstErr error
-	workers := small.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, arm := range arms {
-		wg.Add(1)
-		go func(i int, arm armSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mu.Lock()
-			doomed := firstErr != nil
-			mu.Unlock()
-			if doomed {
-				return
-			}
-			res, err := runDftlCell(arm.cfg, recs, footprint)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: dftlsweep %s/frames=%d: %w", arm.arch, arm.frames, err)
-				}
-				return
-			}
-			results[i] = res
-		}(i, arm)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	errs := parallelCells(len(arms), small.Jobs, func(i int) error {
+		var err error
+		if results[i], err = runDftlCell(arms[i].cfg, recs, footprint); err != nil {
+			return fmt.Errorf("experiments: dftlsweep %s/frames=%d: %w", arms[i].arch, arms[i].frames, err)
+		}
+		return nil
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 
 	out := &DftlsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.Seed}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"zombiessd/internal/ftl"
 	"zombiessd/internal/sim"
@@ -269,44 +267,26 @@ func RunGCsweep(o Options) (*GCsweepResult, error) {
 		return GCTenantCell{Policy: arm.Name, Tenants: mr.Tenants}, nil
 	}
 
-	workers := o.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// One pool over both sweeps: the policy cells first, then the
+	// antagonist arms.
 	results := make([]GCCell, len(cells))
-	errs := make([]error, len(cells))
 	antagResults := make([]GCTenantCell, len(antagArms))
-	antagErrs := make([]error, len(antagArms))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, c := range cells {
-		wg.Add(1)
-		go func(i int, c cellSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = runCell(c)
-		}(i, c)
-	}
-	for i, arm := range antagArms {
-		wg.Add(1)
-		go func(i int, arm GCPolicyArm) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			antagResults[i], antagErrs[i] = runAntag(arm)
-		}(i, arm)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: gcsweep %s/%s: %w", cells[i].arch, cells[i].arm.Name, err)
+	errs := parallelCells(len(cells)+len(antagArms), o.Jobs, func(i int) error {
+		var err error
+		if i < len(cells) {
+			if results[i], err = runCell(cells[i]); err != nil {
+				return fmt.Errorf("experiments: gcsweep %s/%s: %w", cells[i].arch, cells[i].arm.Name, err)
+			}
+			return nil
 		}
-	}
-	for i, err := range antagErrs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: gcsweep antag/%s: %w", antagArms[i].Name, err)
+		i -= len(cells)
+		if antagResults[i], err = runAntag(antagArms[i]); err != nil {
+			return fmt.Errorf("experiments: gcsweep antag/%s: %w", antagArms[i].Name, err)
 		}
+		return nil
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 
 	out := &GCsweepResult{

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"zombiessd/internal/sim"
@@ -245,63 +243,38 @@ func RunMatrix(o Options, workloads []string, systems []System) (*Matrix, error)
 		workload string
 		sys      System
 	}
-	cells := make(chan cell)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	workers := o.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := len(workloads) * len(systems); workers > total {
-		workers = total
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range cells {
-				// A recorded error dooms the whole matrix; skip the
-				// remaining cells instead of simulating them at full cost.
-				// Cells already in flight still record their own errors,
-				// so the summary names every arm that actually failed.
-				mu.Lock()
-				doomed := len(failed) > 0
-				mu.Unlock()
-				if doomed {
-					continue
-				}
-				td := traces[c.workload]
-				dev, tel, err := o.buildDevice(c.sys, td.footprint)
-				if err == nil {
-					var res sim.Result
-					cellsSimulated.Add(1)
-					res, err = sim.Run(dev, td.recs, sim.RunOptions{
-						LogicalPages:      td.footprint,
-						PreconditionPages: td.footprint,
-					})
-					if err == nil {
-						mu.Lock()
-						m.Results[c.workload][c.sys] = res
-						if tel != nil {
-							m.Telemetry[c.workload][c.sys] = tel
-						}
-						mu.Unlock()
-						continue
-					}
-				}
-				mu.Lock()
-				failed = append(failed, CellError{Workload: c.workload, Sys: c.sys, Err: err})
-				mu.Unlock()
-			}
-		}()
-	}
+	cells := make([]cell, 0, len(workloads)*len(systems))
 	for _, name := range workloads {
 		for _, sys := range systems {
-			cells <- cell{name, sys}
+			cells = append(cells, cell{name, sys})
 		}
 	}
-	close(cells)
-	wg.Wait()
+	results := make([]sim.Result, len(cells))
+	tels := make([]*telemetry.Telemetry, len(cells))
+	errs := parallelCells(len(cells), o.Jobs, func(i int) error {
+		td := traces[cells[i].workload]
+		dev, tel, err := o.buildDevice(cells[i].sys, td.footprint)
+		if err != nil {
+			return err
+		}
+		cellsSimulated.Add(1)
+		tels[i] = tel
+		results[i], err = sim.Run(dev, td.recs, sim.RunOptions{
+			LogicalPages:      td.footprint,
+			PreconditionPages: td.footprint,
+		})
+		return err
+	})
+	for i, c := range cells {
+		if errs[i] != nil {
+			failed = append(failed, CellError{Workload: c.workload, Sys: c.sys, Err: errs[i]})
+			continue
+		}
+		m.Results[c.workload][c.sys] = results[i]
+		if tels[i] != nil {
+			m.Telemetry[c.workload][c.sys] = tels[i]
+		}
+	}
 	if err := matrixError(failed); err != nil {
 		return nil, err
 	}

@@ -66,10 +66,10 @@ type Options struct {
 	// paper figures bit-identical; the scrubsweep experiment substitutes
 	// its own default interval and carries a scrub-off control arm.
 	Scrub scrub.Config
-	// Jobs bounds the worker goroutines RunMatrix spreads its cells
-	// across; 0 (the default) uses GOMAXPROCS. Results are byte-identical
-	// for every value — cells are independent simulations and the matrix
-	// is keyed, not ordered by completion.
+	// Jobs bounds the worker goroutines RunMatrix and every sweep spread
+	// their cells across; 0 (the default) uses GOMAXPROCS. Results are
+	// byte-identical for every value — cells are independent simulations
+	// and results are keyed by cell, not ordered by completion.
 	Jobs int
 	// TenantSpec, when non-empty, replaces the tenantsweep experiment's
 	// built-in 1→8 tenant-count ladder with an explicit tenant set in the

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"zombiessd/internal/ftl"
 	"zombiessd/internal/rain"
@@ -254,41 +252,15 @@ func RunRainsweep(o Options) (*RainsweepResult, error) {
 	}
 
 	results := make([]rainCell, len(arms))
-	var mu sync.Mutex
-	var firstErr error
-	workers := small.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, arm := range arms {
-		wg.Add(1)
-		go func(i int, arm armSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mu.Lock()
-			doomed := firstErr != nil
-			mu.Unlock()
-			if doomed {
-				return
-			}
-			res, err := runRainCell(arm.cfg, recs, footprint)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: rainsweep %s (parity=%v): %w", arm.arch, arm.parity, err)
-				}
-				return
-			}
-			results[i] = res
-		}(i, arm)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	errs := parallelCells(len(arms), small.Jobs, func(i int) error {
+		var err error
+		if results[i], err = runRainCell(arms[i].cfg, recs, footprint); err != nil {
+			return fmt.Errorf("experiments: rainsweep %s (parity=%v): %w", arms[i].arch, arms[i].parity, err)
+		}
+		return nil
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 
 	out := &RainsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.Seed}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"zombiessd/internal/fault"
 	"zombiessd/internal/ftl"
@@ -28,8 +26,8 @@ func DefaultIntegrityPlan() fault.IntegrityConfig {
 		BaseRBER:         1e-4,
 		RetentionRate:    6.0,  // ×(1+6·ageSeconds): past ECC in ~6.5 s untouched
 		ReadDisturbRate:  2e-4, // ×(1+0.0002·blockReads)
-		WearRate:         0.02,  // ×(1+0.02·blockErases)
-		RevivalRBERLimit: 2e-3,  // decline zombies past mid-band RBER
+		WearRate:         0.02, // ×(1+0.02·blockErases)
+		RevivalRBERLimit: 2e-3, // decline zombies past mid-band RBER
 		// CorrectableRBER / UncorrectableRBER take the fault defaults.
 	}
 }
@@ -240,37 +238,15 @@ func RunScrubsweep(o Options) (*ScrubsweepResult, error) {
 	}
 
 	results := make([]integrityCell, len(arms))
-	var mu sync.Mutex
-	var firstErr error
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, arm := range arms {
-		wg.Add(1)
-		go func(i int, arm armSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mu.Lock()
-			doomed := firstErr != nil
-			mu.Unlock()
-			if doomed {
-				return
-			}
-			res, err := runIntegrityCell(arm.cfg, recs, footprint)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("experiments: scrubsweep %s (scrub=%v): %w", arm.arch, arm.scrub, err)
-				}
-				return
-			}
-			results[i] = res
-		}(i, arm)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	errs := parallelCells(len(arms), small.Jobs, func(i int) error {
+		var err error
+		if results[i], err = runIntegrityCell(arms[i].cfg, recs, footprint); err != nil {
+			return fmt.Errorf("experiments: scrubsweep %s (scrub=%v): %w", arms[i].arch, arms[i].scrub, err)
+		}
+		return nil
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 
 	out := &ScrubsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.Seed}

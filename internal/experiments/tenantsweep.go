@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"zombiessd/internal/sim"
 	"zombiessd/internal/workload"
@@ -184,29 +182,17 @@ func RunTenantsweep(o Options) (*TenantsweepResult, error) {
 		return TenantCell{Arch: c.arch, Policy: c.policy, Label: c.set.label, Tenants: mr.Tenants}, nil
 	}
 
-	workers := o.Jobs
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	results := make([]TenantCell, len(cells))
-	errs := make([]error, len(cells))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, c := range cells {
-		wg.Add(1)
-		go func(i int, c cellSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i], errs[i] = runCell(c)
-		}(i, c)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: tenantsweep %s/%v/%s: %w",
+	errs := parallelCells(len(cells), o.Jobs, func(i int) error {
+		var err error
+		if results[i], err = runCell(cells[i]); err != nil {
+			return fmt.Errorf("experiments: tenantsweep %s/%v/%s: %w",
 				cells[i].arch, cells[i].policy, cells[i].set.label, err)
 		}
+		return nil
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	return &TenantsweepResult{Requests: requests, Seed: o.Seed, QueueDepth: qd, Cells: results}, nil
 }

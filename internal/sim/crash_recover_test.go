@@ -16,20 +16,11 @@ import (
 // testStoreOf reaches the flash store of any device flavour.
 func testStoreOf(t *testing.T, dev Device) *ftl.Store {
 	t.Helper()
-	switch d := dev.(type) {
-	case *baselineDevice:
-		return d.store
-	case *dvpDevice:
-		return d.store
-	case *dedupDevice:
-		return d.store
-	case *lxDevice:
-		return d.store
-	case *bufferedDevice:
-		return testStoreOf(t, d.inner)
+	s := StoreOf(dev)
+	if s == nil {
+		t.Fatalf("no store accessor for device %T", dev)
 	}
-	t.Fatalf("no store accessor for device %T", dev)
-	return nil
+	return s
 }
 
 func testBusOps(t *testing.T, dev Device) int64 {

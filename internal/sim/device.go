@@ -410,26 +410,17 @@ func NewDevice(cfg Config) (Device, error) {
 			return nil, err
 		}
 	}
-	if cfg.Scrub.Enabled() {
-		scr, err := scrub.New(cfg.Scrub, store)
-		if err != nil {
-			return nil, err
+	if cfg.Scrub.Enabled() || cfg.Store.Preempt.PartialEnabled() || cfg.RAIN.Enabled() || cfg.Health.Enabled() {
+		md := &maintDevice{inner: dev, store: store}
+		if cfg.Scrub.Enabled() {
+			if md.scr, err = scrub.New(cfg.Scrub, store); err != nil {
+				return nil, err
+			}
 		}
-		dev = &scrubbedDevice{inner: dev, scr: scr}
-	}
-	if cfg.Store.Preempt.PartialEnabled() {
-		dev = &preemptDevice{inner: dev, store: store}
-	}
-	if cfg.RAIN.Enabled() {
-		// Outside partial GC (rebuild work is stamped before the request
-		// claims the chip timeline) but inside the health governor, whose
-		// verdict gates maintenance too.
-		dev = &rainDevice{inner: dev, store: store}
-	}
-	if cfg.Health.Enabled() {
-		// Outermost: the governor's verdict must gate partial GC and the
-		// scrub patrol too — a read-only or dead drive does no new work.
-		dev = newHealthDevice(dev, store, cfg.Health)
+		if cfg.Health.Enabled() {
+			md.gov = health.New(cfg.Health)
+		}
+		dev = md
 	}
 	if tel.On() {
 		registerDeviceGauges(tel, dev, bus, store)
@@ -492,27 +483,28 @@ func registerDeviceGauges(tel *telemetry.Telemetry, dev Device, bus *ssd.Bus, st
 			"pages rebuilt from surviving stripe members plus parity", nil,
 			func(ssd.Time) float64 { return float64(store.RainStats().ReconstructedPages) })
 	}
-	if hd, ok := dev.(*healthDevice); ok {
+	if md, ok := dev.(*maintDevice); ok && md.gov != nil {
 		// Only registered under the governor so ungoverned runs keep the
 		// earlier gauge column set.
+		gov := md.gov
 		tel.RegisterGauge("health_state",
 			"governor ladder position (0 healthy, 1 throttled, 2 read-only, 3 dead)", nil,
-			func(ssd.Time) float64 { return float64(hd.gov.State()) })
+			func(ssd.Time) float64 { return float64(gov.State()) })
 		tel.RegisterGauge("health_rejected_total",
 			"host operations refused by the governor (writes and reads)", nil,
 			func(ssd.Time) float64 {
-				st := hd.gov.Stats()
+				st := gov.Stats()
 				return float64(st.RejectedWrites + st.RejectedReads)
 			})
 		tel.RegisterGauge("health_throttled_total",
 			"host writes that paid the governor's throttle delay", nil,
-			func(ssd.Time) float64 { return float64(hd.gov.Stats().ThrottledWrites) })
+			func(ssd.Time) float64 { return float64(gov.Stats().ThrottledWrites) })
 		tel.RegisterGauge("health_transitions_total",
 			"governor ladder transitions", nil,
-			func(ssd.Time) float64 { return float64(hd.gov.Stats().Transitions) })
+			func(ssd.Time) float64 { return float64(gov.Stats().Transitions) })
 		tel.RegisterGauge("health_retries_total",
 			"host-layer retries of transient program faults", nil,
-			func(ssd.Time) float64 { return float64(hd.gov.Stats().Retries) })
+			func(ssd.Time) float64 { return float64(gov.Stats().Retries) })
 	}
 }
 

@@ -121,22 +121,14 @@ func (s *Shadow) Verify(dev HashReader) []Violation {
 // the flush hook acks pages as they durably reach flash.
 func AttachShadow(dev Device) (*Shadow, bool) {
 	sh := NewShadow()
-	// Strip wrappers that add no durability semantics until the buffered
-	// layer (if any) is exposed.
-	for {
-		switch d := dev.(type) {
-		case *healthDevice:
-			dev = d.inner
-		case *preemptDevice:
-			dev = d.inner
-		case *scrubbedDevice:
-			dev = d.inner
-		default:
-			if bd, ok := dev.(*bufferedDevice); ok {
-				bd.SetFlushHook(sh.Ack)
-				return sh, false
-			}
-			return sh, true
-		}
+	// The maintenance pass adds no durability semantics; look beneath it
+	// for the buffered layer.
+	if md, ok := dev.(*maintDevice); ok {
+		dev = md.inner
 	}
+	if bd, ok := dev.(*bufferedDevice); ok {
+		bd.SetFlushHook(sh.Ack)
+		return sh, false
+	}
+	return sh, true
 }

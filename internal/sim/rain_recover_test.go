@@ -7,6 +7,7 @@ import (
 	"zombiessd/internal/fault"
 	"zombiessd/internal/ftl"
 	"zombiessd/internal/rain"
+	"zombiessd/internal/recovery"
 	"zombiessd/internal/ssd"
 	"zombiessd/internal/trace"
 )
@@ -45,17 +46,17 @@ func rainTestConfig(kind Kind) Config {
 }
 
 // TestRainWrapperPresence pins the zero-config guarantee at the device
-// layer: without Config.RAIN no rain wrapper is built and the store runs
-// without a stripe tracker; with it, the wrapper is the outermost device
-// (inside only the health governor) and the store tracks stripes.
+// layer: without Config.RAIN (or any other daemon) no maintenance device
+// is built and the store runs without a stripe tracker; with it, the
+// maintenance device is outermost and the store tracks stripes.
 func TestRainWrapperPresence(t *testing.T) {
 	cfg := testConfig(KindDVP, testFootprint)
 	dev, err := NewDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := dev.(*rainDevice); ok {
-		t.Error("zero RAIN config built a rainDevice wrapper")
+	if _, ok := dev.(*maintDevice); ok {
+		t.Error("zero RAIN config built a maintenance wrapper")
 	}
 	if StoreOf(dev).RainEnabled() {
 		t.Error("zero RAIN config armed the store's stripe tracker")
@@ -66,8 +67,8 @@ func TestRainWrapperPresence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rdev.(*rainDevice); !ok {
-		t.Errorf("RAIN-enabled device is %T, want *rainDevice outermost", rdev)
+	if _, ok := rdev.(*maintDevice); !ok {
+		t.Errorf("RAIN-enabled device is %T, want *maintDevice outermost", rdev)
 	}
 	if !StoreOf(rdev).RainEnabled() {
 		t.Error("RAIN-enabled store has no stripe tracker")
@@ -150,12 +151,14 @@ func runRainCrash(t *testing.T, cfg Config, recs []trace.Record, crashAt int64) 
 		// set is exactly the valid pages still stranded on the dead die —
 		// pages re-landed before the crash are durable and absent from it.
 		if store.DieFailed() {
-			rdev, ok := dev.(*rainDevice)
-			if !ok {
-				t.Fatalf("device is %T, want *rainDevice", dev)
+			snap := recovery.SnapshotOf(store)
+			plan, err := recovery.BuildPlan(snap)
+			if err != nil {
+				t.Fatalf("rebuild plan after recovery: %v", err)
 			}
-			pending := make(map[ssd.PPN]bool, len(rdev.RebuildPlan().Pending))
-			for _, p := range rdev.RebuildPlan().Pending {
+			rp := recovery.Rebuild(store.Geometry(), snap, plan)
+			pending := make(map[ssd.PPN]bool, len(rp.Pending))
+			for _, p := range rp.Pending {
 				pending[p] = true
 			}
 			for p := ssd.PPN(0); p < ssd.PPN(cfg.Geometry.TotalPages()); p++ {
