@@ -40,8 +40,8 @@ trace-smoke:
 	$(GO) run ./cmd/tracecheck -prom smoke_metrics.prom smoke_trace.json
 
 # Short fuzz smoke over the trace codecs, the recovery scan, the config
-# surfaces, the CMT's recycled buffers and the dedup and LX-SSD indexes
-# against their reference models (seed corpora live in
+# surfaces, the CMT's recycled buffers and the dead-value pool, dedup and
+# LX-SSD indexes against their reference models (seed corpora live in
 # internal/*/testdata/fuzz/).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseTextRecord -fuzztime=5s ./internal/trace
@@ -56,6 +56,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzCMTOps -fuzztime=5s ./internal/dftl
 	$(GO) test -run='^$$' -fuzz=FuzzMapperOps -fuzztime=5s ./internal/dedup
 	$(GO) test -run='^$$' -fuzz=FuzzLXPoolOps -fuzztime=5s ./internal/lxssd
+	$(GO) test -run='^$$' -fuzz=FuzzMQOps -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzRainConfig -fuzztime=5s ./internal/rain
 
 # Reduced-scale end-to-end run of the drive-to-death harness: every

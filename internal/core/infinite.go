@@ -8,11 +8,13 @@ import (
 // InfinitePool is the paper's "Ideal" configuration: an unbounded
 // dead-value pool that never evicts for capacity. It is not implementable
 // on a real device and exists to upper-bound the achievable benefit
-// (Figs 1, 5, 9, 10).
+// (Figs 1, 5, 9, 10). It shares MQPool's slab and per-PPN page lists but
+// keeps no queues, and scores garbage by the ledger's current popularity.
 type InfinitePool struct {
 	ledger *Ledger
-	index  map[trace.Hash][]ssd.PPN
-	byPPN  map[ssd.PPN]trace.Hash
+	slab   slab
+	index  map[trace.Hash]int32
+	pages  pageIndex
 	stats  PoolStats
 }
 
@@ -26,70 +28,68 @@ func NewInfinitePool(ledger *Ledger) *InfinitePool {
 	}
 	return &InfinitePool{
 		ledger: ledger,
-		index:  make(map[trace.Hash][]ssd.PPN),
-		byPPN:  make(map[ssd.PPN]trace.Hash),
+		slab:   newSlab(),
+		index:  make(map[trace.Hash]int32),
+		pages:  newPageIndex(),
 	}
 }
 
 // Insert implements Pool.
 func (p *InfinitePool) Insert(h trace.Hash, ppn ssd.PPN, _ Tick) {
 	p.stats.Inserts++
-	p.index[h] = append(p.index[h], ppn)
-	p.byPPN[ppn] = h
+	i, ok := p.index[h]
+	if !ok {
+		i = p.slab.alloc(0)
+		p.slab.entries[i] = entry{hash: h, pages: emptyPages}
+		p.index[h] = i
+	}
+	p.pages.push(&p.slab.entries[i].pages, i, ppn)
 }
 
 // Lookup implements Pool.
 func (p *InfinitePool) Lookup(h trace.Hash, _ Tick) (ssd.PPN, bool) {
-	ppns := p.index[h]
-	if len(ppns) == 0 {
+	i, ok := p.index[h]
+	if !ok {
 		p.stats.Misses++
 		return ssd.InvalidPPN, false
 	}
 	p.stats.Hits++
-	ppn := ppns[len(ppns)-1]
-	ppns = ppns[:len(ppns)-1]
-	if len(ppns) == 0 {
-		delete(p.index, h)
-	} else {
-		p.index[h] = ppns
-	}
-	delete(p.byPPN, ppn)
+	ppn := p.slab.entries[i].pages.tail // revive the most recent death
+	p.unlink(i, ppn)
 	return ppn, true
+}
+
+// unlink unpools ppn from entry i, freeing the entry with its last page.
+func (p *InfinitePool) unlink(i int32, ppn ssd.PPN) {
+	e := &p.slab.entries[i]
+	p.pages.unlink(&e.pages, ppn)
+	if e.pages.n == 0 {
+		delete(p.index, e.hash)
+		p.slab.release(i)
+	}
 }
 
 // Drop implements Pool.
 func (p *InfinitePool) Drop(ppn ssd.PPN) {
-	h, ok := p.byPPN[ppn]
-	if !ok {
+	i := p.pages.slotOf(ppn)
+	if i == nilSlot {
 		return
 	}
 	p.stats.Drops++
-	delete(p.byPPN, ppn)
-	ppns := p.index[h]
-	for i, x := range ppns {
-		if x == ppn {
-			ppns = append(ppns[:i], ppns[i+1:]...)
-			break
-		}
-	}
-	if len(ppns) == 0 {
-		delete(p.index, h)
-	} else {
-		p.index[h] = ppns
-	}
+	p.unlink(i, ppn)
 }
 
 // GarbagePopularity implements Pool.
 func (p *InfinitePool) GarbagePopularity(ppn ssd.PPN) (uint8, bool) {
-	h, ok := p.byPPN[ppn]
-	if !ok {
+	i := p.pages.slotOf(ppn)
+	if i == nilSlot {
 		return 0, false
 	}
-	return p.ledger.Get(h), true
+	return p.ledger.Get(p.slab.entries[i].hash), true
 }
 
 // Len implements Pool.
-func (p *InfinitePool) Len() int { return len(p.byPPN) }
+func (p *InfinitePool) Len() int { return p.pages.n }
 
 // EntryCount returns the number of distinct hashes pooled.
 func (p *InfinitePool) EntryCount() int { return len(p.index) }

@@ -8,60 +8,6 @@ import (
 	"zombiessd/internal/trace"
 )
 
-// entry is one dead-value pool record: a value hash, the garbage physical
-// pages currently holding that value, its popularity degree, and — for MQ —
-// its queue index and expiration time (Fig 8 of the paper).
-type entry struct {
-	hash   trace.Hash
-	ppns   []ssd.PPN
-	pop    uint8
-	expire Tick
-	queue  int
-
-	prev, next *entry
-}
-
-// entryList is an intrusive doubly-linked LRU list: head is least recently
-// used, tail is most recently used.
-type entryList struct {
-	head, tail *entry
-	n          int
-}
-
-func (l *entryList) pushTail(e *entry) {
-	e.prev, e.next = l.tail, nil
-	if l.tail != nil {
-		l.tail.next = e
-	} else {
-		l.head = e
-	}
-	l.tail = e
-	l.n++
-}
-
-func (l *entryList) remove(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		l.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		l.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-	l.n--
-}
-
-func (l *entryList) moveToTail(e *entry) {
-	if l.tail == e {
-		return
-	}
-	l.remove(e)
-	l.pushTail(e)
-}
-
 // MQConfig parameterizes an MQPool.
 type MQConfig struct {
 	// Queues is the number of LRU queues (the paper uses 8).
@@ -100,14 +46,18 @@ func (c MQConfig) Validate() error {
 // demoted one queue down on every update. Capacity evictions take the LRU
 // entry of the lowest non-empty queue, so unpopular-and-stale zombies die
 // first while popular ones survive to be revived.
+//
+// Entries live in a slab linked by index, and each entry's garbage pages
+// form a list threaded through a PPN-indexed sparse array, so a warmed
+// pool allocates nothing and Drop and GarbagePopularity are array reads.
 type MQPool struct {
 	cfg    MQConfig
 	ledger *Ledger
 
-	queues []entryList
-	index  map[trace.Hash]*entry
-	byPPN  map[ssd.PPN]*entry
-	pages  int // total pooled PPNs
+	slab   slab
+	queues []queue
+	index  map[trace.Hash]int32
+	pages  pageIndex
 
 	// Hottest-entry tracking, used to derive the expiration interval: the
 	// interval between the hottest entry's last two accesses (Section IV-C).
@@ -133,14 +83,36 @@ func NewMQPool(cfg MQConfig, ledger *Ledger) *MQPool {
 	if ledger == nil {
 		panic("core: NewMQPool requires a ledger")
 	}
+	queues := make([]queue, cfg.Queues)
+	for i := range queues {
+		queues[i] = emptyQueue
+	}
 	return &MQPool{
 		cfg:             cfg,
 		ledger:          ledger,
-		queues:          make([]entryList, cfg.Queues),
-		index:           make(map[trace.Hash]*entry, cfg.Capacity),
-		byPPN:           make(map[ssd.PPN]*entry, cfg.Capacity),
+		slab:            newSlab(),
+		queues:          queues,
+		index:           make(map[trace.Hash]int32, cfg.Capacity),
+		pages:           newPageIndex(),
 		hottestInterval: cfg.DefaultLifetime,
 	}
+}
+
+// NewLRUPool returns the single-queue dead-value pool of Section III, pure
+// recency with no popularity, holding at most capacity entries. The paper
+// uses it to show (Figs 5–6) that plain LRU leaves many misses on the
+// table for popular values, motivating MQ. It is an MQPool with one
+// queue: nothing is ever promoted or demoted, so replacement is exactly
+// LRU. The ledger supplies popularity degrees for GC scoring only. Panics
+// on a non-positive capacity or nil ledger (construction bugs).
+func NewLRUPool(capacity int, ledger *Ledger) *MQPool {
+	if capacity <= 0 {
+		panic("core: LRU pool capacity must be positive")
+	}
+	if ledger == nil {
+		panic("core: NewLRUPool requires a ledger")
+	}
+	return NewMQPool(MQConfig{Queues: 1, Capacity: capacity, DefaultLifetime: 1}, ledger)
 }
 
 // queueFor maps a popularity degree to its home queue: ⌊log₂(pop+1)⌋,
@@ -157,19 +129,17 @@ func (p *MQPool) queueFor(pop uint8) int {
 // eviction, which the paper performs "upon each update".
 func (p *MQPool) Insert(h trace.Hash, ppn ssd.PPN, now Tick) {
 	p.stats.Inserts++
-	if e, ok := p.index[h]; ok {
-		e.ppns = append(e.ppns, ppn)
-		p.byPPN[ppn] = e
-		p.pages++
-		p.touch(e, now)
+	if i, ok := p.index[h]; ok {
+		p.pages.push(&p.slab.entries[i].pages, i, ppn)
+		p.touch(i, now)
 	} else {
-		e := &entry{hash: h, ppns: []ssd.PPN{ppn}, pop: p.ledger.Get(h)}
-		e.queue = 0 // inserts always start at the bottom queue
-		e.expire = now + p.hottestInterval
-		p.queues[0].pushTail(e)
-		p.index[h] = e
-		p.byPPN[ppn] = e
-		p.pages++
+		i = p.slab.alloc(p.cfg.Capacity + 1) // admitted before the eviction
+		e := &p.slab.entries[i]
+		// Inserts always start at the bottom queue.
+		*e = entry{hash: h, pages: emptyPages, pop: p.ledger.Get(h), expire: now + p.hottestInterval}
+		p.slab.pushTail(&p.queues[0], i)
+		p.index[h] = i
+		p.pages.push(&e.pages, i, ppn)
 		p.observeHottest(e, now)
 	}
 	p.demoteExpired(now)
@@ -180,38 +150,38 @@ func (p *MQPool) Insert(h trace.Hash, ppn ssd.PPN, now Tick) {
 
 // Lookup implements Pool.
 func (p *MQPool) Lookup(h trace.Hash, now Tick) (ssd.PPN, bool) {
-	e, ok := p.index[h]
+	i, ok := p.index[h]
 	if !ok {
 		p.stats.Misses++
 		return ssd.InvalidPPN, false
 	}
 	p.stats.Hits++
-	ppn := e.ppns[len(e.ppns)-1] // revive the most recent death
-	e.ppns = e.ppns[:len(e.ppns)-1]
-	delete(p.byPPN, ppn)
-	p.pages--
-	if len(e.ppns) == 0 {
+	l := &p.slab.entries[i].pages
+	ppn := l.tail // revive the most recent death
+	p.pages.unlink(l, ppn)
+	if l.n == 0 {
 		// The entry no longer describes any garbage page; it leaves the
 		// pool (the paper: "this entry is removed since it does not
 		// contain the information of a garbage page anymore").
-		p.removeEntry(e)
+		p.removeEntry(i)
 	} else {
-		p.touch(e, now)
+		p.touch(i, now)
 	}
 	return ppn, true
 }
 
-// touch refreshes recency, popularity, promotion and expiration of e after
-// an access at write-clock now.
-func (p *MQPool) touch(e *entry, now Tick) {
+// touch refreshes recency, popularity, promotion and expiration of entry i
+// after an access at write-clock now.
+func (p *MQPool) touch(i int32, now Tick) {
+	e := &p.slab.entries[i]
 	e.pop = p.ledger.Get(e.hash)
-	p.queues[e.queue].moveToTail(e)
-	if target := p.queueFor(e.pop); target > e.queue {
+	p.slab.moveToTail(&p.queues[e.queue], i)
+	if target := p.queueFor(e.pop); target > int(e.queue) {
 		// Promote one queue up per access (paper: "promoted to one higher
 		// queue").
-		p.queues[e.queue].remove(e)
+		p.slab.remove(&p.queues[e.queue], i)
 		e.queue++
-		p.queues[e.queue].pushTail(e)
+		p.slab.pushTail(&p.queues[e.queue], i)
 		p.stats.Promoted++
 	}
 	e.expire = now + p.hottestInterval
@@ -243,13 +213,14 @@ func (p *MQPool) observeHottest(e *entry, now Tick) {
 func (p *MQPool) demoteExpired(now Tick) {
 	for q := len(p.queues) - 1; q >= 1; q-- {
 		head := p.queues[q].head
-		if head == nil || head.expire >= now {
+		if head == nilSlot || p.slab.entries[head].expire >= now {
 			continue
 		}
-		p.queues[q].remove(head)
-		head.queue = q - 1
-		head.expire = now + p.hottestInterval
-		p.queues[q-1].pushTail(head)
+		p.slab.remove(&p.queues[q], head)
+		e := &p.slab.entries[head]
+		e.queue = int32(q - 1)
+		e.expire = now + p.hottestInterval
+		p.slab.pushTail(&p.queues[q-1], head)
 		p.stats.Demoted++
 	}
 }
@@ -257,56 +228,49 @@ func (p *MQPool) demoteExpired(now Tick) {
 // evictOne removes the LRU entry of the lowest non-empty queue.
 func (p *MQPool) evictOne() {
 	for q := range p.queues {
-		if head := p.queues[q].head; head != nil {
-			p.stats.Evictions += int64(len(head.ppns))
+		if head := p.queues[q].head; head != nilSlot {
+			p.stats.Evictions += int64(p.slab.entries[head].pages.n)
 			p.removeEntry(head)
 			return
 		}
 	}
 }
 
-// removeEntry removes e and all its remaining PPNs from every index.
-func (p *MQPool) removeEntry(e *entry) {
-	p.queues[e.queue].remove(e)
+// removeEntry removes entry i and all its remaining pages from every
+// index and frees its slot.
+func (p *MQPool) removeEntry(i int32) {
+	e := &p.slab.entries[i]
+	p.slab.remove(&p.queues[e.queue], i)
 	delete(p.index, e.hash)
-	for _, ppn := range e.ppns {
-		delete(p.byPPN, ppn)
-	}
-	p.pages -= len(e.ppns)
-	e.ppns = nil
+	p.pages.clear(&e.pages)
+	p.slab.release(i)
 }
 
 // Drop implements Pool.
 func (p *MQPool) Drop(ppn ssd.PPN) {
-	e, ok := p.byPPN[ppn]
-	if !ok {
+	i := p.pages.slotOf(ppn)
+	if i == nilSlot {
 		return
 	}
 	p.stats.Drops++
-	delete(p.byPPN, ppn)
-	for i, x := range e.ppns {
-		if x == ppn {
-			e.ppns = append(e.ppns[:i], e.ppns[i+1:]...)
-			break
-		}
-	}
-	p.pages--
-	if len(e.ppns) == 0 {
-		p.removeEntry(e)
+	l := &p.slab.entries[i].pages
+	p.pages.unlink(l, ppn)
+	if l.n == 0 {
+		p.removeEntry(i)
 	}
 }
 
 // GarbagePopularity implements Pool.
 func (p *MQPool) GarbagePopularity(ppn ssd.PPN) (uint8, bool) {
-	e, ok := p.byPPN[ppn]
-	if !ok {
+	i := p.pages.slotOf(ppn)
+	if i == nilSlot {
 		return 0, false
 	}
-	return e.pop, true
+	return p.slab.entries[i].pop, true
 }
 
 // Len implements Pool: the number of pooled garbage pages.
-func (p *MQPool) Len() int { return p.pages }
+func (p *MQPool) Len() int { return p.pages.n }
 
 // EntryCount returns the number of distinct hashes pooled.
 func (p *MQPool) EntryCount() int { return len(p.index) }

@@ -9,7 +9,7 @@ import (
 )
 
 // checkMQStructure extends mq_test.go's checkMQInvariants with the
-// capacity bound and intrusive-list integrity:
+// capacity bound, intrusive-list integrity and slab accounting:
 //
 //  1. the entry count never exceeds capacity;
 //  2. every queue's linked list is well formed and agrees with its length
@@ -17,7 +17,9 @@ import (
 //  3. the hash index and the queues hold exactly the same entries;
 //  4. the reverse PPN index is consistent with queue contents: every pooled
 //     PPN maps back to the entry listing it, no PPN appears in two entries,
-//     and the pooled-page counter matches.
+//     every entry's page list is well formed, and the pooled-page counter
+//     matches;
+//  5. every slab slot is either live on a queue or on the free list.
 func checkMQStructure(t *testing.T, p *MQPool) {
 	t.Helper()
 	if len(p.index) > p.cfg.Capacity {
@@ -28,32 +30,37 @@ func checkMQStructure(t *testing.T, p *MQPool) {
 	seen := make(map[ssd.PPN]trace.Hash)
 	for q := range p.queues {
 		n := 0
-		var prev *entry
-		for e := p.queues[q].head; e != nil; e = e.next {
+		prev := nilSlot
+		for i := p.queues[q].head; i != nilSlot; i = p.slab.entries[i].next {
+			e := &p.slab.entries[i]
 			if e.prev != prev {
 				t.Fatalf("queue %d: broken back-link at entry %v", q, e.hash)
 			}
-			if e.queue != q {
+			if int(e.queue) != q {
 				t.Fatalf("entry %v on queue %d records queue %d", e.hash, q, e.queue)
 			}
-			if got, ok := p.index[e.hash]; !ok || got != e {
+			if got, ok := p.index[e.hash]; !ok || got != i {
 				t.Fatalf("queue %d entry %v not in the hash index", q, e.hash)
 			}
-			if len(e.ppns) == 0 {
+			ppns := pageListOf(t, &p.pages, i, e.pages)
+			if len(ppns) == 0 {
 				t.Fatalf("entry %v lives in queue %d with no pooled pages", e.hash, q)
 			}
-			for _, ppn := range e.ppns {
+			for _, ppn := range ppns {
 				if other, dup := seen[ppn]; dup {
 					t.Fatalf("PPN %d pooled under both %v and %v", ppn, other, e.hash)
 				}
 				seen[ppn] = e.hash
-				if got, ok := p.byPPN[ppn]; !ok || got != e {
-					t.Fatalf("byPPN[%d] does not point at the entry listing it", ppn)
+				if p.pages.slotOf(ppn) != i {
+					t.Fatalf("reverse index of PPN %d does not point at the entry listing it", ppn)
 				}
 				pages++
 			}
-			prev = e
+			prev = i
 			n++
+		}
+		if prev != p.queues[q].tail {
+			t.Fatalf("queue %d walk ends at slot %d, tail says %d", q, prev, p.queues[q].tail)
 		}
 		if n != p.queues[q].n {
 			t.Fatalf("queue %d walk found %d entries, counter says %d", q, n, p.queues[q].n)
@@ -63,8 +70,17 @@ func checkMQStructure(t *testing.T, p *MQPool) {
 	if inQueues != len(p.index) {
 		t.Fatalf("queues hold %d entries, index holds %d", inQueues, len(p.index))
 	}
-	if pages != len(p.byPPN) || pages != p.pages {
-		t.Fatalf("pooled pages: queues %d, byPPN %d, counter %d", pages, len(p.byPPN), p.pages)
+	if reverse := pooledNodes(&p.pages); pages != reverse || pages != p.pages.n {
+		t.Fatalf("pooled pages: queues %d, reverse index %d, counter %d", pages, reverse, p.pages.n)
+	}
+	free := 0
+	for i := p.slab.free; i != nilSlot; i = p.slab.entries[i].next {
+		if free++; free > len(p.slab.entries) {
+			t.Fatal("free list cycles")
+		}
+	}
+	if free+inQueues != len(p.slab.entries) {
+		t.Fatalf("slab holds %d slots: %d live + %d free", len(p.slab.entries), inQueues, free)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestMQExpireUsesHottestInterval(t *testing.T) {
 	p := NewMQPool(MQConfig{Queues: 4, Capacity: 100, DefaultLifetime: 50}, l)
 	l.Bump(h(1))
 	p.Insert(h(1), 10, 100)
-	e := p.index[h(1)]
+	e := p.slab.entries[p.index[h(1)]]
 	if e.expire != 150 {
 		t.Fatalf("expire = %d, want now+lifetime = 150", e.expire)
 	}
@@ -185,30 +185,32 @@ func TestMQQueueLengthsSumToEntryCount(t *testing.T) {
 
 // checkMQInvariants verifies the structural consistency of the pool:
 // every indexed entry is in exactly one queue, the PPN reverse index agrees
-// with entry PPN lists, and the page count matches.
+// with entry page lists, and the page count matches.
 func checkMQInvariants(t *testing.T, p *MQPool) {
 	t.Helper()
 	pages := 0
 	seen := make(map[ssd.PPN]bool)
 	inQueues := 0
 	for q := range p.queues {
-		for e := p.queues[q].head; e != nil; e = e.next {
+		for i := p.queues[q].head; i != nilSlot; i = p.slab.entries[i].next {
+			e := &p.slab.entries[i]
 			inQueues++
-			if e.queue != q {
+			if int(e.queue) != q {
 				t.Fatalf("entry %v thinks it is in Q%d but lives in Q%d", e.hash, e.queue, q)
 			}
-			if p.index[e.hash] != e {
+			if got, ok := p.index[e.hash]; !ok || got != i {
 				t.Fatalf("entry %v not in index", e.hash)
 			}
-			if len(e.ppns) == 0 {
+			ppns := pageListOf(t, &p.pages, i, e.pages)
+			if len(ppns) == 0 {
 				t.Fatalf("entry %v has no pages but is pooled", e.hash)
 			}
-			for _, ppn := range e.ppns {
+			for _, ppn := range ppns {
 				if seen[ppn] {
 					t.Fatalf("PPN %d appears twice", ppn)
 				}
 				seen[ppn] = true
-				if p.byPPN[ppn] != e {
+				if p.pages.slotOf(ppn) != i {
 					t.Fatalf("reverse index for PPN %d wrong", ppn)
 				}
 				pages++
@@ -218,9 +220,48 @@ func checkMQInvariants(t *testing.T, p *MQPool) {
 	if inQueues != len(p.index) {
 		t.Fatalf("queues hold %d entries, index %d", inQueues, len(p.index))
 	}
-	if pages != p.pages || pages != len(p.byPPN) {
-		t.Fatalf("page count mismatch: walked=%d cached=%d reverse=%d", pages, p.pages, len(p.byPPN))
+	if reverse := pooledNodes(&p.pages); pages != p.pages.n || pages != reverse {
+		t.Fatalf("page count mismatch: walked=%d cached=%d reverse=%d", pages, p.pages.n, reverse)
 	}
+}
+
+// pageListOf walks the page list l of entry slot, checking that every node
+// names slot as its owner, that back-links mirror forward links and that
+// the list's counter matches; it returns the pages oldest first.
+func pageListOf(t *testing.T, x *pageIndex, slot int32, l pageList) []ssd.PPN {
+	t.Helper()
+	var out []ssd.PPN
+	prev := ssd.InvalidPPN
+	for ppn := l.head; ppn != ssd.InvalidPPN; {
+		if int(l.n) < len(out) {
+			t.Fatalf("slot %d: page list longer than its counter %d (cycle?)", slot, l.n)
+		}
+		nd := x.nodes.Get(int64(ppn))
+		if nd.slot != slot {
+			t.Fatalf("page %d on slot %d's list names slot %d", ppn, slot, nd.slot)
+		}
+		if nd.prev != prev {
+			t.Fatalf("page %d: back-link %d, want %d", ppn, nd.prev, prev)
+		}
+		out = append(out, ppn)
+		prev, ppn = ppn, nd.next
+	}
+	if prev != l.tail || int(l.n) != len(out) {
+		t.Fatalf("slot %d: walked %d pages ending at %d, list says %d ending at %d",
+			slot, len(out), prev, l.n, l.tail)
+	}
+	return out
+}
+
+// pooledNodes counts the reverse-index nodes that claim an owner.
+func pooledNodes(x *pageIndex) int {
+	n := 0
+	x.nodes.ForEach(func(_ int64, nd pageNode) {
+		if nd.slot != nilSlot {
+			n++
+		}
+	})
+	return n
 }
 
 func TestMQInvariantsUnderRandomOps(t *testing.T) {

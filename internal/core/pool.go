@@ -10,7 +10,8 @@
 //   - MQPool — the paper's Multi-Queue design (Section IV): multiple LRU
 //     queues indexed by popularity degree, logarithmic promotion,
 //     expiration-driven demotion, and an aging clock measured in writes.
-//   - LRUPool — the single-queue strawman of Section III/Fig 5–6.
+//   - NewLRUPool — the single-queue strawman of Section III/Fig 5–6: an
+//     MQPool with one queue, which is exactly LRU.
 //   - InfinitePool — the unbounded "Ideal" configuration.
 //
 // All pools are clocked in *write counts*, as in the paper: the i-th write
@@ -40,7 +41,10 @@ type Tick = int64
 //   - Drop is called when GC erases a page that was in the pool.
 type Pool interface {
 	// Insert records that ppn has become a garbage copy of value h at
-	// write-clock now. It may evict older entries to make room.
+	// write-clock now. It may evict older entries to make room. ppn must
+	// not be pooled already: the FTL invalidates a page once, and it
+	// returns to the pool only after a revival, Drop or eviction took it
+	// out.
 	Insert(h trace.Hash, ppn ssd.PPN, now Tick)
 
 	// Lookup searches for a garbage copy of h. On a hit, one PPN is

@@ -43,30 +43,43 @@ func TestPoolStatsHitRate(t *testing.T) {
 }
 
 func TestEntryListOps(t *testing.T) {
-	var l entryList
-	a, b, c := &entry{}, &entry{}, &entry{}
-	l.pushTail(a)
-	l.pushTail(b)
-	l.pushTail(c)
+	s := newSlab()
+	l := emptyQueue
+	a, b, c := s.alloc(0), s.alloc(0), s.alloc(0)
+	s.pushTail(&l, a)
+	s.pushTail(&l, b)
+	s.pushTail(&l, c)
 	if l.n != 3 || l.head != a || l.tail != c {
-		t.Fatalf("list after pushes: n=%d head=%p tail=%p", l.n, l.head, l.tail)
+		t.Fatalf("list after pushes: n=%d head=%d tail=%d", l.n, l.head, l.tail)
 	}
-	l.moveToTail(a)
+	s.moveToTail(&l, a)
 	if l.head != b || l.tail != a {
 		t.Fatal("moveToTail(head) wrong")
 	}
-	l.moveToTail(a) // already tail: no-op
+	s.moveToTail(&l, a) // already tail: no-op
 	if l.tail != a || l.n != 3 {
 		t.Fatal("moveToTail(tail) must be a no-op")
 	}
-	l.remove(b)
+	s.remove(&l, b)
 	if l.head != c || l.n != 2 {
 		t.Fatal("remove(middle/head) wrong")
 	}
-	l.remove(c)
-	l.remove(a)
-	if l.head != nil || l.tail != nil || l.n != 0 {
+	s.remove(&l, c)
+	s.remove(&l, a)
+	if l.head != nilSlot || l.tail != nilSlot || l.n != 0 {
 		t.Fatal("list not empty after removing all")
+	}
+	// Freed slots are reused last-in first-out before the slab grows.
+	s.release(a)
+	s.release(c)
+	if got := s.alloc(0); got != c {
+		t.Fatalf("alloc after release = %d, want the last freed slot %d", got, c)
+	}
+	if got := s.alloc(0); got != a {
+		t.Fatalf("second alloc = %d, want %d", got, a)
+	}
+	if got := s.alloc(0); got != 3 {
+		t.Fatalf("alloc with an empty free list = %d, want fresh slot 3", got)
 	}
 }
 

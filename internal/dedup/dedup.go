@@ -25,10 +25,11 @@ import (
 // cleanly.
 var ErrDedupCorrupt = errors.New("dedup: metadata corrupt")
 
-// pageMeta describes one live deduplicated physical page. Its logical
-// owners form an intrusive doubly linked list threaded through the
-// Mapper's per-LPN links: every LPN owns at most one live page, so a
-// removal is O(1) and the list keeps the order owners were bound in.
+// pageMeta describes one deduplicated physical page. Its logical owners
+// form an intrusive doubly linked list threaded through the Mapper's
+// per-LPN links: every LPN owns at most one live page, so a removal is
+// O(1) and the list keeps the order owners were bound in. A page with no
+// owners (n == 0, the zero value) is not live.
 type pageMeta struct {
 	hash       trace.Hash
 	head, tail ftl.LPN // first and last owner; head is the OOB representative
@@ -44,13 +45,15 @@ type link struct {
 
 var noLink = link{prev: ftl.InvalidLPN, next: ftl.InvalidLPN}
 
-// Mapper is the deduplicating mapping unit. The forward table and the
-// owner links are sparse-chunked so a full-geometry logical space costs RAM
-// proportional to the pages actually written, not the address-space size.
+// Mapper is the deduplicating mapping unit. The forward table, the owner
+// links and the per-page metadata are sparse-chunked arrays, so a
+// full-geometry drive costs RAM proportional to the pages actually
+// written, not the address-space size.
 type Mapper struct {
 	l2p    *sparse.Array[ssd.PPN]
 	links  *sparse.Array[link]
-	pages  map[ssd.PPN]pageMeta
+	pages  *sparse.Array[pageMeta] // by PPN
+	live   int                     // pages with at least one owner
 	byHash map[trace.Hash]ssd.PPN
 
 	stats Stats
@@ -70,20 +73,37 @@ func (s Stats) String() string {
 		s.DedupHits, s.NewPages, s.Unbinds, s.GarbageOut)
 }
 
-// NewMapper returns a Mapper for logicalPages host pages.
-func NewMapper(logicalPages int64) (*Mapper, error) {
+// NewMapper returns a Mapper for logicalPages host pages over a drive of
+// physicalPages pages.
+func NewMapper(logicalPages, physicalPages int64) (*Mapper, error) {
 	if logicalPages <= 0 {
 		return nil, fmt.Errorf("dedup: logical pages must be positive, got %d", logicalPages)
 	}
 	if logicalPages > int64(ftl.InvalidLPN) {
 		return nil, fmt.Errorf("dedup: %d logical pages exceeds the LPN space", logicalPages)
 	}
+	if physicalPages <= 0 {
+		return nil, fmt.Errorf("dedup: physical pages must be positive, got %d", physicalPages)
+	}
+	if physicalPages > int64(ssd.InvalidPPN) {
+		return nil, fmt.Errorf("dedup: %d physical pages exceeds the PPN space", physicalPages)
+	}
 	return &Mapper{
 		l2p:    sparse.New(logicalPages, ssd.InvalidPPN),
 		links:  sparse.New(logicalPages, noLink),
-		pages:  make(map[ssd.PPN]pageMeta),
+		pages:  sparse.New(physicalPages, pageMeta{}),
 		byHash: make(map[trace.Hash]ssd.PPN),
 	}, nil
+}
+
+// page returns ppn's metadata and whether the page is live. A PPN outside
+// the drive is never live.
+func (m *Mapper) page(ppn ssd.PPN) (pageMeta, bool) {
+	if int64(ppn) >= m.pages.Len() {
+		return pageMeta{}, false
+	}
+	meta := m.pages.Get(int64(ppn))
+	return meta, meta.n > 0
 }
 
 // LogicalPages returns the host-visible address-space size.
@@ -107,16 +127,13 @@ func (m *Mapper) LiveValue(h trace.Hash) (ssd.PPN, bool) {
 
 // RefCount returns the number of logical owners of ppn (0 when not live).
 func (m *Mapper) RefCount(ppn ssd.PPN) int {
-	meta, ok := m.pages[ppn]
-	if !ok {
-		return 0
-	}
+	meta, _ := m.page(ppn)
 	return int(meta.n)
 }
 
 // ValueOf returns the hash stored at live page ppn.
 func (m *Mapper) ValueOf(ppn ssd.PPN) (trace.Hash, bool) {
-	meta, ok := m.pages[ppn]
+	meta, ok := m.page(ppn)
 	if !ok {
 		return trace.Hash{}, false
 	}
@@ -134,7 +151,7 @@ func (m *Mapper) Unbind(lpn ftl.LPN) (ppn ssd.PPN, h trace.Hash, garbage, wasBou
 	if ppn == ssd.InvalidPPN {
 		return ssd.InvalidPPN, trace.Hash{}, false, false, nil
 	}
-	meta, ok := m.pages[ppn]
+	meta, ok := m.page(ppn)
 	if !ok {
 		return ssd.InvalidPPN, trace.Hash{}, false, false,
 			fmt.Errorf("%w: LPN %d maps to %d which has no metadata", ErrDedupCorrupt, lpn, ppn)
@@ -143,14 +160,15 @@ func (m *Mapper) Unbind(lpn ftl.LPN) (ppn ssd.PPN, h trace.Hash, garbage, wasBou
 	m.l2p.Set(int64(lpn), ssd.InvalidPPN)
 	if meta.n > 1 {
 		m.unlink(&meta, lpn)
-		m.pages[ppn] = meta
+		m.pages.Set(int64(ppn), meta)
 		return ppn, meta.hash, false, true, nil
 	}
 	// Last owner gone: the page turns into garbage and leaves the live
 	// content index.
 	m.stats.GarbageOut++
 	h = meta.hash
-	delete(m.pages, ppn)
+	m.pages.Set(int64(ppn), pageMeta{})
+	m.live--
 	delete(m.byHash, h)
 	return ppn, h, true, true, nil
 }
@@ -181,7 +199,7 @@ func (m *Mapper) unlink(meta *pageMeta, lpn ftl.LPN) {
 // count grows, no flash operation happens. Binding onto a page that is not
 // live reports ErrDedupCorrupt with the mapping untouched.
 func (m *Mapper) BindExisting(lpn ftl.LPN, ppn ssd.PPN) error {
-	meta, ok := m.pages[ppn]
+	meta, ok := m.page(ppn)
 	if !ok {
 		return fmt.Errorf("%w: BindExisting(%d, %d): page not live", ErrDedupCorrupt, lpn, ppn)
 	}
@@ -195,7 +213,7 @@ func (m *Mapper) BindExisting(lpn ftl.LPN, ppn ssd.PPN) error {
 	m.links.Set(int64(meta.tail), t)
 	meta.tail = lpn
 	meta.n++
-	m.pages[ppn] = meta
+	m.pages.Set(int64(ppn), meta)
 	m.l2p.Set(int64(lpn), ppn)
 	return nil
 }
@@ -213,20 +231,25 @@ func (m *Mapper) checkUnbound(lpn ftl.LPN) error {
 // BindNew registers ppn as the fresh live copy of value h owned by lpn —
 // used both after a flash program and after a dead-value-pool revival. A
 // value that already has a live copy (the caller should have used
-// BindExisting) or a page that is already live reports ErrDedupCorrupt
-// with the mapping untouched.
+// BindExisting), a page that is already live or a page outside the drive
+// reports ErrDedupCorrupt with the mapping untouched.
 func (m *Mapper) BindNew(lpn ftl.LPN, ppn ssd.PPN, h trace.Hash) error {
 	if _, dup := m.byHash[h]; dup {
 		return fmt.Errorf("%w: BindNew(%d): value already live", ErrDedupCorrupt, ppn)
 	}
-	if _, dup := m.pages[ppn]; dup {
+	if int64(ppn) >= m.pages.Len() {
+		return fmt.Errorf("%w: BindNew(%d): page outside the %d physical pages",
+			ErrDedupCorrupt, ppn, m.pages.Len())
+	}
+	if _, dup := m.page(ppn); dup {
 		return fmt.Errorf("%w: BindNew(%d): page already live", ErrDedupCorrupt, ppn)
 	}
 	if err := m.checkUnbound(lpn); err != nil {
 		return err
 	}
 	m.stats.NewPages++
-	m.pages[ppn] = pageMeta{hash: h, head: lpn, tail: lpn, n: 1}
+	m.pages.Set(int64(ppn), pageMeta{hash: h, head: lpn, tail: lpn, n: 1})
+	m.live++
 	m.byHash[h] = ppn
 	m.l2p.Set(int64(lpn), ppn)
 	return nil
@@ -236,7 +259,7 @@ func (m *Mapper) BindNew(lpn ftl.LPN, ppn ssd.PPN, h trace.Hash) error {
 // OOB representative for crash recovery. The rest are journaled
 // separately and follow in bind order through NextOwner.
 func (m *Mapper) FirstOwner(ppn ssd.PPN) (ftl.LPN, bool) {
-	meta, ok := m.pages[ppn]
+	meta, ok := m.page(ppn)
 	if !ok {
 		return ftl.InvalidLPN, false
 	}
@@ -255,12 +278,12 @@ func (m *Mapper) NextOwner(lpn ftl.LPN) (ftl.LPN, bool) {
 // different mapping layer in mixed setups). The owner list moves with the
 // page, order unchanged.
 func (m *Mapper) Relocate(src, dst ssd.PPN) {
-	meta, ok := m.pages[src]
+	meta, ok := m.page(src)
 	if !ok {
 		return
 	}
-	delete(m.pages, src)
-	m.pages[dst] = meta
+	m.pages.Set(int64(src), pageMeta{})
+	m.pages.Set(int64(dst), meta)
 	m.byHash[meta.hash] = dst
 	for lpn, ok := meta.head, true; ok; lpn, ok = m.NextOwner(lpn) {
 		m.l2p.Set(int64(lpn), dst)
@@ -268,4 +291,4 @@ func (m *Mapper) Relocate(src, dst ssd.PPN) {
 }
 
 // LivePages returns the number of live (deduplicated) physical pages.
-func (m *Mapper) LivePages() int { return len(m.pages) }
+func (m *Mapper) LivePages() int { return m.live }

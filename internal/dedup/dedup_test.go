@@ -14,20 +14,51 @@ import (
 func h(id uint64) trace.Hash { return trace.HashOfValue(id) }
 
 func TestNewMapperValidation(t *testing.T) {
-	if _, err := NewMapper(0); err == nil {
+	if _, err := NewMapper(0, 10); err == nil {
 		t.Error("accepted zero logical pages")
 	}
-	m, err := NewMapper(100)
+	m, err := NewMapper(100, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.LogicalPages() != 100 {
 		t.Errorf("LogicalPages = %d", m.LogicalPages())
 	}
+	for _, physical := range []int64{0, -1, int64(ssd.InvalidPPN) + 1} {
+		if _, err := NewMapper(10, physical); err == nil {
+			t.Errorf("accepted %d physical pages", physical)
+		}
+	}
+}
+
+// TestPagesOutsideTheDrive pins that a PPN past the physical space is an
+// error or a not-live page, never a panic.
+func TestPagesOutsideTheDrive(t *testing.T) {
+	m, _ := NewMapper(10, 256)
+	if err := m.BindNew(0, 256, h(1)); !errors.Is(err, ErrDedupCorrupt) {
+		t.Fatalf("BindNew past the drive: err %v, want ErrDedupCorrupt", err)
+	}
+	if _, ok := m.Lookup(0); ok {
+		t.Fatal("failed BindNew left a mapping")
+	}
+	if err := m.BindExisting(0, 1<<30); !errors.Is(err, ErrDedupCorrupt) {
+		t.Fatalf("BindExisting past the drive: err %v, want ErrDedupCorrupt", err)
+	}
+	if m.RefCount(1<<30) != 0 || m.LivePages() != 0 {
+		t.Fatal("a page past the drive reads as live")
+	}
+	if _, ok := m.ValueOf(ssd.InvalidPPN); ok {
+		t.Fatal("ValueOf(InvalidPPN) reports a live page")
+	}
+	if _, ok := m.FirstOwner(ssd.InvalidPPN); ok {
+		t.Fatal("FirstOwner(InvalidPPN) reports an owner")
+	}
+	m.Relocate(1<<30, 3) // unknown source: ignored
+	checkConsistency(t, m)
 }
 
 func TestBindNewAndLookup(t *testing.T) {
-	m, _ := NewMapper(10)
+	m, _ := NewMapper(10, 256)
 	m.BindNew(3, 70, h(1))
 	if ppn, ok := m.Lookup(3); !ok || ppn != 70 {
 		t.Fatalf("Lookup = (%d,%v)", ppn, ok)
@@ -47,7 +78,7 @@ func TestBindNewAndLookup(t *testing.T) {
 }
 
 func TestManyToOneMapping(t *testing.T) {
-	m, _ := NewMapper(10)
+	m, _ := NewMapper(10, 256)
 	m.BindNew(1, 50, h(9))
 	m.BindExisting(2, 50)
 	m.BindExisting(3, 50)
@@ -65,7 +96,7 @@ func TestManyToOneMapping(t *testing.T) {
 }
 
 func TestUnbindGarbageOnlyAtLastOwner(t *testing.T) {
-	m, _ := NewMapper(10)
+	m, _ := NewMapper(10, 256)
 	m.BindNew(1, 50, h(9))
 	m.BindExisting(2, 50)
 
@@ -93,14 +124,14 @@ func TestUnbindGarbageOnlyAtLastOwner(t *testing.T) {
 }
 
 func TestUnbindUnmapped(t *testing.T) {
-	m, _ := NewMapper(10)
+	m, _ := NewMapper(10, 256)
 	if _, _, _, bound, err := m.Unbind(5); bound || err != nil {
 		t.Errorf("unbinding an unmapped LPN reported (bound=%v, err=%v)", bound, err)
 	}
 }
 
 func TestRelocateRebindsAllOwners(t *testing.T) {
-	m, _ := NewMapper(10)
+	m, _ := NewMapper(10, 256)
 	m.BindNew(1, 50, h(9))
 	m.BindExisting(2, 50)
 	m.BindExisting(3, 50)
@@ -171,7 +202,7 @@ func TestCorruptionShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m, _ := NewMapper(10)
+			m, _ := NewMapper(10, 256)
 			err := c.run(m)
 			if !errors.Is(err, ErrDedupCorrupt) {
 				t.Fatalf("err = %v, want ErrDedupCorrupt", err)
@@ -190,7 +221,7 @@ func TestCorruptionShapes(t *testing.T) {
 // and the content index always agree.
 func TestRandomizedConsistency(t *testing.T) {
 	const lpns = 64
-	m, _ := NewMapper(lpns)
+	m, _ := NewMapper(lpns, 1<<16)
 	rng := rand.New(rand.NewSource(12))
 	nextPPN := ssd.PPN(0)
 	for i := 0; i < 20000; i++ {
@@ -224,11 +255,13 @@ func TestRandomizedConsistency(t *testing.T) {
 // and the content index, and walks every owner list both ways.
 func checkConsistency(t *testing.T, m *Mapper) {
 	t.Helper()
-	owners := 0
-	for ppn, meta := range m.pages {
-		if meta.n <= 0 {
-			t.Fatalf("live page %d has no owners", ppn)
+	owners, live := 0, 0
+	m.pages.ForEach(func(i int64, meta pageMeta) {
+		if meta.n == 0 {
+			return
 		}
+		ppn := ssd.PPN(i)
+		live++
 		if m.byHash[meta.hash] != ppn {
 			t.Fatalf("content index for %v does not point at %d", meta.hash, ppn)
 		}
@@ -254,9 +287,9 @@ func checkConsistency(t *testing.T, m *Mapper) {
 				ppn, walked, last, meta.n, meta.tail)
 		}
 		owners += int(walked)
-	}
-	if len(m.byHash) != len(m.pages) {
-		t.Fatalf("content index size %d != live pages %d", len(m.byHash), len(m.pages))
+	})
+	if len(m.byHash) != live || m.LivePages() != live {
+		t.Fatalf("content index size %d, live counter %d, live pages %d", len(m.byHash), m.LivePages(), live)
 	}
 	mapped := 0
 	m.l2p.ForEach(func(lpn int64, ppn ssd.PPN) {

@@ -30,6 +30,7 @@ func ownersOf(t testing.TB, m *Mapper, ppn ssd.PPN) []ftl.LPN {
 const (
 	opLPNs   = 48
 	opValues = 12
+	opPages  = 1 << 20 // physical pages: the stream stops before exhausting them
 )
 
 // runMapperOps drives a Mapper and the reference model with the same op
@@ -40,7 +41,7 @@ const (
 // does; corrupt binds onto dead pages, live values and live pages are in
 // the stream and must fail on both sides.
 func runMapperOps(t *testing.T, data []byte) {
-	m, _ := NewMapper(opLPNs)
+	m, _ := NewMapper(opLPNs, opPages)
 	ref, _ := newRefMapper(opLPNs)
 	next := ssd.PPN(0)
 	var garbage []ssd.PPN // pages that lost their last owner, revivable
@@ -60,7 +61,7 @@ func runMapperOps(t *testing.T, data []byte) {
 			t.Fatalf("%s: err %v, reference %v", what, err, rerr)
 		}
 	}
-	for i := 0; i+2 < len(data); i += 3 {
+	for i := 0; i+2 < len(data) && next < opPages-1; i += 3 {
 		op, a, b := data[i]%5, data[i+1], data[i+2]
 		lpn := ftl.LPN(a % opLPNs)
 		val := h(uint64(b % opValues))
@@ -162,7 +163,7 @@ func FuzzMapperOps(f *testing.F) {
 // allocations once the owner links' chunk exists.
 func TestUnbindBindExistingAllocFree(t *testing.T) {
 	const owners = 64
-	m, _ := NewMapper(owners)
+	m, _ := NewMapper(owners, 8)
 	if err := m.BindNew(0, 7, h(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func BenchmarkMapperUnbind(b *testing.B) {
 		b.Run(fmt.Sprintf("owners=%d", owners), func(b *testing.B) {
 			const ppn = 7
 			val := h(1)
-			m, _ := NewMapper(int64(owners))
+			m, _ := NewMapper(int64(owners), 8)
 			if err := m.BindNew(0, ppn, val); err != nil {
 				b.Fatal(err)
 			}

@@ -915,6 +915,12 @@ func (s *Store) relocationCapacity(plane int) int32 {
 // victim selects the GC victim for a plane, or InvalidBlock when no
 // non-active, non-free block has any invalid page (or none fits the
 // plane's relocation capacity). Candidates are ranked by victimScore.
+//
+// The scan prunes exactly: a candidate whose victimBound cannot beat the
+// best score so far is skipped before its pages are scored. Only a
+// strictly higher score replaces the best, so the skipped block could not
+// have won, and the victim — lowest index among equal scores — is the one
+// a full scan picks.
 func (s *Store) victim(plane int) ssd.BlockID {
 	best := ssd.InvalidBlock
 	bestScore := math.Inf(-1)
@@ -924,6 +930,9 @@ func (s *Store) victim(plane int) ssd.BlockID {
 		info := &s.blocks[b]
 		if info.free || info.active || info.bad || info.dead || info.draining ||
 			info.trans || info.invalid == 0 || info.valid > capacity {
+			continue
+		}
+		if s.victimBound(info) <= bestScore {
 			continue
 		}
 		score := s.victimScore(b)
@@ -953,14 +962,32 @@ func (s *Store) victimScore(b ssd.BlockID) float64 {
 	}
 	if info.progFails > 0 {
 		switch {
-		case s.cfg.DrainSuspects && s.cfg.Faults.SuspectThreshold > 0 &&
-			int(info.progFails) >= s.cfg.Faults.SuspectThreshold:
+		case s.drainsSuspect(info):
 			score += float64(s.geo.PagesPerBlock)
 		case s.cfg.FaultPenaltyWeight > 0:
 			score -= s.cfg.FaultPenaltyWeight * float64(info.progFails)
 		}
 	}
 	return score
+}
+
+// drainsSuspect reports whether DrainSuspects gives the block its bonus.
+func (s *Store) drainsSuspect(info *blockInfo) bool {
+	return s.cfg.DrainSuspects && s.cfg.Faults.SuspectThreshold > 0 &&
+		int(info.progFails) >= s.cfg.Faults.SuspectThreshold
+}
+
+// victimBound is an upper bound on victimScore, computed without touching
+// the block's pages: the invalid count plus the drain bonus when it
+// applies. The popularity and fault terms only subtract (both weights are
+// validated ≥ 0), and rounding is monotonic, so victimScore never exceeds
+// the bound.
+func (s *Store) victimBound(info *blockInfo) float64 {
+	bound := float64(info.invalid)
+	if s.drainsSuspect(info) {
+		bound += float64(s.geo.PagesPerBlock)
+	}
+	return bound
 }
 
 // garbagePopularitySum is the paper's popularity-aware victim metric: the

@@ -1,9 +1,12 @@
 package ftl
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"zombiessd/internal/fault"
+	"zombiessd/internal/ssd"
 )
 
 // victimStore builds a tiny store and hand-sets per-block accounting on
@@ -135,5 +138,102 @@ func TestUsablePagesNow(t *testing.T) {
 	s.faults.RetiredBlocks = int64(s.geo.TotalBlocks())
 	if got := s.UsablePagesNow(); got != 0 {
 		t.Errorf("fully retired drive: UsablePagesNow = %d, want 0 (clamped)", got)
+	}
+}
+
+// mapScorer is a GarbageScorer over a fixed popularity table.
+type mapScorer map[ssd.PPN]uint8
+
+func (m mapScorer) GarbagePopularity(p ssd.PPN) (uint8, bool) {
+	pop, ok := m[p]
+	return pop, ok
+}
+
+// fullScanVictim is victim without pruning: it scores every eligible
+// block, the reference the pruned scan must agree with.
+func fullScanVictim(s *Store, plane int) ssd.BlockID {
+	best := ssd.InvalidBlock
+	bestScore := math.Inf(-1)
+	capacity := s.relocationCapacity(plane)
+	for i := 0; i < s.geo.BlocksPerPlane; i++ {
+		b := s.geo.BlockAt(plane, i)
+		info := &s.blocks[b]
+		if info.free || info.active || info.bad || info.dead || info.draining ||
+			info.trans || info.invalid == 0 || info.valid > capacity {
+			continue
+		}
+		if score := s.victimScore(b); score > bestScore {
+			bestScore = score
+			best = b
+		}
+	}
+	return best
+}
+
+// TestVictimPruningMatchesFullScan builds seeded random planes — block
+// counts, pooled garbage and its popularity, program failures, suspect
+// blocks — under popularity weighting, the fault penalty and
+// DrainSuspects, and checks that the pruned victim is the full scan's,
+// block for block. Small value ranges make equal scores common, so the
+// lowest-index tie-break is exercised too.
+func TestVictimPruningMatchesFullScan(t *testing.T) {
+	geo := ssd.Geometry{
+		Channels: 1, ChipsPerChannel: 1, DiesPerChip: 1, PlanesPerDie: 2,
+		BlocksPerPlane: 48, PagesPerBlock: 16, PageSize: 4096, OverProvision: 0.15,
+	}
+	weights := []float64{0.01, 0.25, 1, 3}
+	ties := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := StoreConfig{
+			GCFreeBlockThreshold: 2,
+			PopularityWeight:     weights[rng.Intn(len(weights))],
+			FaultPenaltyWeight:   weights[rng.Intn(len(weights))],
+			DrainSuspects:        true,
+			Faults:               fault.Config{ProgramFailProb: 1e-9, SuspectThreshold: 2},
+		}
+		s, err := NewStore(cfg, ssd.NewBus(geo, ssd.PaperLatency()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scorer := mapScorer{}
+		s.Scorer = scorer
+		for plane := 0; plane < geo.TotalPlanes(); plane++ {
+			for i := 1; i < geo.BlocksPerPlane; i++ {
+				b := geo.BlockAt(plane, i)
+				info := &s.blocks[b]
+				info.free = rng.Intn(8) == 0
+				info.bad = rng.Intn(20) == 0
+				info.invalid = int32(rng.Intn(5) * 4)
+				info.valid = int32(rng.Intn(geo.PagesPerBlock - int(info.invalid) + 1))
+				info.progFails = int32(max(0, rng.Intn(6)-3))
+				first := geo.FirstPage(b)
+				for p := 0; p < int(info.invalid); p++ {
+					ppn := first + ssd.PPN(p)
+					s.setState(ppn, PageInvalid)
+					if rng.Intn(3) > 0 {
+						scorer[ppn] = uint8(rng.Intn(3))
+					}
+				}
+			}
+			got, want := s.victim(plane), fullScanVictim(s, plane)
+			if got != want {
+				t.Fatalf("seed %d plane %d: pruned victim %d, full scan %d (cfg %+v)", seed, plane, got, want, cfg)
+			}
+			if want == ssd.InvalidBlock {
+				continue
+			}
+			for i := 0; i < geo.BlocksPerPlane; i++ {
+				b := geo.BlockAt(plane, i)
+				if b != want && s.blocks[b].invalid > 0 && !s.blocks[b].free && !s.blocks[b].bad &&
+					s.victimScore(b) == s.victimScore(want) {
+					ties++
+					break
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no plane produced an equal-score candidate; the tie-break went unexercised")
 	}
 }

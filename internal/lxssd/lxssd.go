@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"zombiessd/internal/core"
+	"zombiessd/internal/sparse"
 	"zombiessd/internal/ssd"
 	"zombiessd/internal/trace"
 )
@@ -85,7 +86,9 @@ func (c Config) Validate() error {
 
 // Pool is the LX-SSD garbage-page recycler. Records live in a slab that
 // grows on demand to Capacity+1 slots (Insert admits before it evicts)
-// and recycles freed slots, so a warmed pool allocates nothing.
+// and recycles freed slots, so a warmed pool allocates nothing. The page
+// and address indexes are sparse arrays over the drive's physical and
+// logical spaces.
 type Pool struct {
 	cfg Config
 
@@ -95,8 +98,8 @@ type Pool struct {
 	n    int
 
 	byHash map[trace.Hash]chain
-	byLBA  map[uint64]chain
-	byPPN  map[ssd.PPN]int32
+	byLBA  *sparse.Array[chain] // emptyChain when the address has no record
+	byPPN  *sparse.Array[int32] // nilRec when the page is not buffered
 
 	// pop counts accesses per value over reads and writes combined —
 	// deliberately conflating the two, as the paper says LX-SSD does.
@@ -105,19 +108,27 @@ type Pool struct {
 	stats core.PoolStats
 }
 
-// New returns an empty LX-SSD pool, or a wrapped configuration error —
-// surfaced on the host path as a CellError by RunMatrix, never a panic.
-func New(cfg Config) (*Pool, error) {
+// New returns an empty LX-SSD pool for a drive of physicalPages pages and
+// logicalPages host addresses, or a wrapped configuration error — surfaced
+// on the host path as a CellError by RunMatrix, never a panic. Callers
+// pass only PPNs and LBAs inside those spaces.
+func New(cfg Config, physicalPages, logicalPages int64) (*Pool, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("lxssd: %w", err)
+	}
+	if physicalPages <= 0 || physicalPages > int64(ssd.InvalidPPN) {
+		return nil, fmt.Errorf("lxssd: physical pages must be in [1,%d], got %d", int64(ssd.InvalidPPN), physicalPages)
+	}
+	if logicalPages <= 0 {
+		return nil, fmt.Errorf("lxssd: logical pages must be positive, got %d", logicalPages)
 	}
 	return &Pool{
 		cfg:    cfg,
 		free:   nilRec,
 		lru:    emptyChain,
 		byHash: make(map[trace.Hash]chain),
-		byLBA:  make(map[uint64]chain),
-		byPPN:  make(map[ssd.PPN]int32),
+		byLBA:  sparse.New(logicalPages, emptyChain),
+		byPPN:  sparse.New(physicalPages, nilRec),
 		pop:    make(map[trace.Hash]uint16),
 	}, nil
 }
@@ -129,10 +140,7 @@ func (p *Pool) RecordAccess(h trace.Hash, lba uint64) {
 	if c := p.pop[h]; c < ^uint16(0) {
 		p.pop[h] = c + 1
 	}
-	c, ok := p.byLBA[lba]
-	if !ok {
-		return
-	}
+	c := p.byLBA.Get(int64(lba))
 	for i := c.head; i != nilRec; i = p.slab[i].links[lbaList].next {
 		if i != p.lru.tail {
 			p.unlink(&p.lru, i, lruList)
@@ -160,13 +168,10 @@ func (p *Pool) Insert(h trace.Hash, ppn ssd.PPN, lba uint64) {
 	}
 	p.push(&c, i, hashList)
 	p.byHash[h] = c
-	c, ok = p.byLBA[lba]
-	if !ok {
-		c = emptyChain
-	}
+	c = p.byLBA.Get(int64(lba))
 	p.push(&c, i, lbaList)
-	p.byLBA[lba] = c
-	p.byPPN[ppn] = i
+	p.byLBA.Set(int64(lba), c)
+	p.byPPN.Set(int64(ppn), i)
 	for p.n > p.cfg.Capacity {
 		p.stats.Evictions++
 		p.removeRecord(p.evictionVictim())
@@ -252,8 +257,8 @@ func (p *Pool) Lookup(h trace.Hash) (ssd.PPN, bool) {
 
 // Drop removes the record for ppn, if buffered (GC erased the page).
 func (p *Pool) Drop(ppn ssd.PPN) {
-	i, ok := p.byPPN[ppn]
-	if !ok {
+	i := p.byPPN.Get(int64(ppn))
+	if i == nilRec {
 		return
 	}
 	p.stats.Drops++
@@ -266,7 +271,7 @@ func (p *Pool) removeRecord(i int32) {
 	r := &p.slab[i]
 	p.unlink(&p.lru, i, lruList)
 	p.n--
-	delete(p.byPPN, r.ppn)
+	p.byPPN.Set(int64(r.ppn), nilRec)
 	c := p.byHash[r.hash]
 	p.unlink(&c, i, hashList)
 	if c.head == nilRec {
@@ -274,13 +279,9 @@ func (p *Pool) removeRecord(i int32) {
 	} else {
 		p.byHash[r.hash] = c
 	}
-	c = p.byLBA[r.lba]
+	c = p.byLBA.Get(int64(r.lba))
 	p.unlink(&c, i, lbaList)
-	if c.head == nilRec {
-		delete(p.byLBA, r.lba)
-	} else {
-		p.byLBA[r.lba] = c
-	}
+	p.byLBA.Set(int64(r.lba), c)
 	r.links[lruList].next = p.free
 	p.free = i
 }

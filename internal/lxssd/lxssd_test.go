@@ -11,8 +11,14 @@ import (
 
 func h(id uint64) trace.Hash { return trace.HashOfValue(id) }
 
+// The drive the unit tests' pools index: every PPN and LBA they use fits.
+const (
+	testPages = 1 << 20
+	testLBAs  = 1 << 16
+)
+
 func newPool(capacity int) *Pool {
-	p, err := New(Config{Capacity: capacity, MinPopularity: 2})
+	p, err := New(Config{Capacity: capacity, MinPopularity: 2}, testPages, testLBAs)
 	if err != nil {
 		panic(err)
 	}
@@ -29,8 +35,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Capacity: math.MaxInt32}).Validate(); err == nil {
 		t.Error("accepted a capacity past the int32 record index")
 	}
-	if p, err := New(Config{}); err == nil || p != nil {
+	if p, err := New(Config{}, testPages, testLBAs); err == nil || p != nil {
 		t.Errorf("New with bad config returned (%v, %v), want nil pool and error", p, err)
+	}
+	for _, sizes := range [][2]int64{{0, 8}, {int64(ssd.InvalidPPN) + 1, 8}, {8, 0}, {8, -1}} {
+		if p, err := New(DefaultConfig(), sizes[0], sizes[1]); err == nil || p != nil {
+			t.Errorf("New over %d pages, %d LBAs returned (%v, %v), want an error", sizes[0], sizes[1], p, err)
+		}
 	}
 }
 
@@ -181,13 +192,13 @@ func checkIndexes(t *testing.T, p *Pool) {
 		if r.links[lruList].prev != last {
 			t.Fatalf("LRU slot %d links back to %d, want %d", i, r.links[lruList].prev, last)
 		}
-		if j, ok := p.byPPN[r.ppn]; !ok || j != i {
+		if p.byPPN.Get(int64(r.ppn)) != i {
 			t.Fatalf("byPPN inconsistent for %d", r.ppn)
 		}
 		if !slices.Contains(chainSlots(p, p.byHash[r.hash], hashList), i) {
 			t.Fatalf("record %d missing from byHash", r.ppn)
 		}
-		if !slices.Contains(chainSlots(p, p.byLBA[r.lba], lbaList), i) {
+		if !slices.Contains(chainSlots(p, p.byLBA.Get(int64(r.lba)), lbaList), i) {
 			t.Fatalf("record %d missing from byLBA", r.ppn)
 		}
 		live[i] = true
@@ -197,11 +208,17 @@ func checkIndexes(t *testing.T, p *Pool) {
 	if last != p.lru.tail {
 		t.Fatalf("LRU ends at %d, tail is %d", last, p.lru.tail)
 	}
-	if walked != p.Len() || walked != len(p.byPPN) {
-		t.Fatalf("walked %d records, Len=%d byPPN=%d", walked, p.Len(), len(p.byPPN))
+	byPPN := 0
+	p.byPPN.ForEach(func(_ int64, i int32) {
+		if i != nilRec {
+			byPPN++
+		}
+	})
+	if walked != p.Len() || walked != byPPN {
+		t.Fatalf("walked %d records, Len=%d byPPN=%d", walked, p.Len(), byPPN)
 	}
 	checkChains(t, p, p.byHash, hashList, live)
-	checkChains(t, p, p.byLBA, lbaList, live)
+	checkChains(t, p, lbaChains(p), lbaList, live)
 	free := 0
 	for i := p.free; i != nilRec; i = p.slab[i].links[lruList].next {
 		if live[i] || free > len(p.slab) {
@@ -215,6 +232,18 @@ func checkIndexes(t *testing.T, p *Pool) {
 	if len(p.slab) > p.cfg.Capacity+1 || cap(p.slab) > p.cfg.Capacity+1 {
 		t.Fatalf("slab len %d cap %d exceeds Capacity+1 = %d", len(p.slab), cap(p.slab), p.cfg.Capacity+1)
 	}
+}
+
+// lbaChains returns every address chain that differs from the empty
+// default, keyed by LBA, for checkChains.
+func lbaChains(p *Pool) map[uint64]chain {
+	out := make(map[uint64]chain)
+	p.byLBA.ForEach(func(lba int64, c chain) {
+		if c != emptyChain {
+			out[uint64(lba)] = c
+		}
+	})
+	return out
 }
 
 // chainSlots returns the slots on c, a chain of list k, head to tail. It
@@ -263,7 +292,7 @@ func TestEvictionProtectsReadPopularValues(t *testing.T) {
 	// scores high on LX's combined popularity and survives eviction, even
 	// though read popularity says nothing about rebirth; the write-popular
 	// record with a momentarily lower combined count is evicted instead.
-	p, _ := New(Config{Capacity: 2, MinPopularity: 0})
+	p, _ := New(Config{Capacity: 2, MinPopularity: 0}, testPages, testLBAs)
 	// Value 1: heavily read, never rewritten. Value 2: written twice.
 	for i := 0; i < 10; i++ {
 		p.RecordAccess(h(1), 1)
@@ -282,7 +311,7 @@ func TestEvictionProtectsReadPopularValues(t *testing.T) {
 }
 
 func TestAdmitAllWhenThresholdZero(t *testing.T) {
-	p, _ := New(Config{Capacity: 4, MinPopularity: 0})
+	p, _ := New(Config{Capacity: 4, MinPopularity: 0}, testPages, testLBAs)
 	p.Insert(h(9), 90, 9) // no prior access at all
 	if p.Len() != 1 {
 		t.Fatalf("Len = %d, want 1 (threshold 0 admits everything)", p.Len())

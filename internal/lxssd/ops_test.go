@@ -15,6 +15,7 @@ import (
 const (
 	opValues = 12
 	opLBAs   = 16
+	opPages  = 1 << 20 // physical pages: the stream stops before exhausting them
 )
 
 // runPoolOps drives a Pool and the reference model with the same op
@@ -28,13 +29,13 @@ func runPoolOps(t *testing.T, data []byte) {
 		return
 	}
 	cfg := Config{Capacity: 1 + int(data[0]%24), MinPopularity: uint16(data[1] % 3)}
-	p, err := New(cfg)
+	p, err := New(cfg, opPages, opLBAs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref, _ := newRefPool(cfg)
 	next := ssd.PPN(0)
-	for i := 2; i+2 < len(data); i += 3 {
+	for i := 2; i+2 < len(data) && next < opPages-1; i += 3 {
 		op, a, b := data[i]%5, data[i+1], data[i+2]
 		v, lba := h(uint64(a%opValues)), uint64(b%opLBAs)
 		switch op {
@@ -98,7 +99,7 @@ func comparePool(t *testing.T, op int, p *Pool, ref *refPool) {
 		for _, r := range ref.byLBA[lba] {
 			want = append(want, r.ppn)
 		}
-		if got := indexPPNs(p, p.byLBA, lba, lbaList); !slices.Equal(got, want) {
+		if got := chainPPNs(p, p.byLBA.Get(int64(lba)), lbaList); !slices.Equal(got, want) {
 			t.Fatalf("op %d: garbage pages of LBA %d %v, reference %v", op, lba, got, want)
 		}
 	}
@@ -177,7 +178,8 @@ func TestInsertLookupDropAllocFree(t *testing.T) {
 // a value and drops an erased page.
 func BenchmarkLXPoolChurn(b *testing.B) {
 	const capacity, values, lbas = 4096, 3000, 8192
-	p, _ := New(Config{Capacity: capacity, MinPopularity: 0})
+	const pages = 1 << 28 // PPNs below wrap only after 2^28 iterations
+	p, _ := New(Config{Capacity: capacity, MinPopularity: 0}, pages, lbas)
 	rng := rand.New(rand.NewSource(1))
 	type op struct {
 		access, revive trace.Hash
@@ -196,8 +198,8 @@ func BenchmarkLXPoolChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := &ops[i%len(ops)]
 		p.RecordAccess(o.access, o.lba)
-		p.Insert(o.access, ssd.PPN(4*capacity+i), o.lba)
+		p.Insert(o.access, ssd.PPN((4*capacity+i)%pages), o.lba)
 		p.Lookup(o.revive)
-		p.Drop(ssd.PPN(4*capacity + i - capacity/2))
+		p.Drop(ssd.PPN((4*capacity + i - capacity/2) % pages))
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"zombiessd/internal/fault"
 	"zombiessd/internal/ftl"
+	"zombiessd/internal/lxssd"
 	"zombiessd/internal/recovery"
 	"zombiessd/internal/ssd"
 	"zombiessd/internal/trace"
@@ -178,5 +180,47 @@ func TestCrashRecoverDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m1, m2) {
 		t.Errorf("metrics differ across identical crashed runs:\n %+v\n %+v", m1, m2)
+	}
+}
+
+// TestRecoveryRejectsPagesOutsideTheDrive feeds the dedup and LX-SSD
+// rebuilds crafted plans whose pages or addresses lie past the drive: each
+// must fail with an error naming the page, never panic in a sparse index.
+func TestRecoveryRejectsPagesOutsideTheDrive(t *testing.T) {
+	const logical, physical = 64, 128
+	inside := recovery.Winner{LPN: 3, PPN: 9, Hash: trace.HashOfValue(1), Seq: 1}
+	winners := map[string]recovery.Winner{
+		"ppn": {LPN: 4, PPN: physical, Hash: trace.HashOfValue(2), Seq: 2},
+		"lpn": {LPN: logical, PPN: 10, Hash: trace.HashOfValue(3), Seq: 3},
+	}
+	for name, w := range winners {
+		plan := recovery.Plan{Winners: []recovery.Winner{inside, w}}
+		if _, err := dedupMapperFrom(logical, physical, plan); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("dedup rebuild with an out-of-range %s: err %v, want an outside-the-drive error", name, err)
+		}
+	}
+	if _, err := dedupMapperFrom(logical, physical, recovery.Plan{Winners: []recovery.Winner{inside}}); err != nil {
+		t.Fatalf("dedup rebuild of an in-range plan: %v", err)
+	}
+
+	cfg := lxssd.Config{Capacity: 8, MinPopularity: 0}
+	ok := recovery.GarbagePage{PPN: 5, LPN: 2, Hash: trace.HashOfValue(4), Seq: 1}
+	garbage := map[string]recovery.GarbagePage{
+		"ppn": {PPN: physical + 7, LPN: 2, Hash: trace.HashOfValue(5), Seq: 2},
+		"lpn": {PPN: 6, LPN: logical, Hash: trace.HashOfValue(6), Seq: 3},
+	}
+	for name, g := range garbage {
+		plan := recovery.Plan{Garbage: []recovery.GarbagePage{ok, g}}
+		if _, err := lxPoolFrom(cfg, physical, logical, plan, false); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("LX-SSD rebuild with an out-of-range %s: err %v, want an outside-the-drive error", name, err)
+		}
+		// A cold pool reads no zombies, so the plan cannot hurt it.
+		if _, err := lxPoolFrom(cfg, physical, logical, plan, true); err != nil {
+			t.Errorf("cold LX-SSD rebuild: %v", err)
+		}
+	}
+	pool, err := lxPoolFrom(cfg, physical, logical, recovery.Plan{Garbage: []recovery.GarbagePage{ok}}, false)
+	if err != nil || pool.Len() != 1 {
+		t.Fatalf("LX-SSD rebuild of an in-range plan: pool %v, err %v", pool, err)
 	}
 }

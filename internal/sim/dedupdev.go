@@ -28,7 +28,7 @@ type dedupDevice struct {
 }
 
 func newDedupDevice(cfg Config, bus *ssd.Bus, store *ftl.Store) (*dedupDevice, error) {
-	dmap, err := dedup.NewMapper(cfg.LogicalPages)
+	dmap, err := dedup.NewMapper(cfg.LogicalPages, cfg.Geometry.TotalPages())
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func newLXDevice(cfg Config, bus *ssd.Bus, store *ftl.Store) (*lxDevice, error) 
 	if err != nil {
 		return nil, err
 	}
-	pool, err := lxssd.New(cfg.LX)
+	pool, err := lxssd.New(cfg.LX, cfg.Geometry.TotalPages(), cfg.LogicalPages)
 	if err != nil {
 		return nil, err
 	}

@@ -192,7 +192,7 @@ func (d *dedupDevice) Recover(opts RecoverOptions) (recovery.Report, error) {
 	if err != nil {
 		return recovery.Report{}, err
 	}
-	dmap, err := dedupMapperFrom(d.cfg.LogicalPages, plan)
+	dmap, err := dedupMapperFrom(d.cfg.LogicalPages, d.store.Geometry().TotalPages(), plan)
 	if err != nil {
 		return recovery.Report{}, err
 	}
@@ -244,14 +244,9 @@ func (d *lxDevice) Recover(opts RecoverOptions) (recovery.Report, error) {
 	for _, w := range plan.Winners {
 		content.Set(int64(w.LPN), w.Hash)
 	}
-	pool, err := lxssd.New(d.cfg.LX)
+	pool, err := lxPoolFrom(d.cfg.LX, d.store.Geometry().TotalPages(), d.cfg.LogicalPages, plan, opts.ColdPool)
 	if err != nil {
 		return recovery.Report{}, err
-	}
-	if !opts.ColdPool {
-		for _, g := range plan.Garbage {
-			pool.Insert(g.Hash, g.PPN, uint64(g.LPN))
-		}
 	}
 	d.mapper, d.content, d.pool = mapper, content, pool
 	d.store.OnRelocate = mapper.Relocate
@@ -261,6 +256,24 @@ func (d *lxDevice) Recover(opts RecoverOptions) (recovery.Report, error) {
 		return recovery.Report{}, err
 	}
 	return plan.Report, nil
+}
+
+// lxPoolFrom builds the LX-SSD recycler after a crash and, unless cold,
+// re-seeds it from the scan's zombie pages, each under the address that
+// last owned it. A zombie outside the drive is an error naming the page.
+func lxPoolFrom(cfg lxssd.Config, physical, logical int64, plan recovery.Plan, cold bool) (*lxssd.Pool, error) {
+	pool, err := lxssd.New(cfg, physical, logical)
+	if err != nil || cold {
+		return pool, err
+	}
+	for _, g := range plan.Garbage {
+		if int64(g.LPN) >= logical || int64(g.PPN) >= physical {
+			return nil, fmt.Errorf("sim: recovered zombie page %d of LPN %d outside the drive (%d physical, %d logical pages)",
+				g.PPN, g.LPN, physical, logical)
+		}
+		pool.Insert(g.Hash, g.PPN, uint64(g.LPN))
+	}
+	return pool, nil
 }
 
 // ReadHash implements HashReader.
@@ -295,14 +308,18 @@ func (d *bufferedDevice) ReadHash(lpn ftl.LPN) (trace.Hash, bool) {
 // dedupMapperFrom rebuilds the dedup mapping from recovered winners: the
 // first claimant of a physical page re-creates the live copy, later
 // claimants of the same page become references.
-func dedupMapperFrom(logical int64, plan recovery.Plan) (*dedup.Mapper, error) {
-	dmap, err := dedup.NewMapper(logical)
+func dedupMapperFrom(logical, physical int64, plan recovery.Plan) (*dedup.Mapper, error) {
+	dmap, err := dedup.NewMapper(logical, physical)
 	if err != nil {
 		return nil, err
 	}
 	for _, w := range plan.Winners {
 		if int64(w.LPN) >= logical {
 			return nil, fmt.Errorf("sim: recovered LPN %d outside logical space %d", w.LPN, logical)
+		}
+		if int64(w.PPN) >= physical {
+			return nil, fmt.Errorf("sim: recovered PPN %d of LPN %d outside physical space %d",
+				w.PPN, w.LPN, physical)
 		}
 		if live, ok := dmap.LiveValue(w.Hash); ok {
 			if live != w.PPN {

@@ -82,6 +82,20 @@ func (a *Array[T]) Set(i int64, v T) {
 	c[i&chunkMask] = v
 }
 
+// Grow extends the logical length to n, when n is larger: the new indices
+// read as the default, and already-written elements keep their values.
+// Growth costs chunk-table slots only, never chunk storage, so a caller
+// whose index space is unbounded can grow one index at a time.
+func (a *Array[T]) Grow(n int64) {
+	if n <= a.n {
+		return
+	}
+	a.n = n
+	if need := int((n + chunkMask) >> chunkShift); need > len(a.chunks) {
+		a.chunks = append(a.chunks, make([][]T, need-len(a.chunks))...)
+	}
+}
+
 // Reset drops every materialized chunk: all elements read as the default
 // again, at the cost of one nil store per chunk-table slot. Equivalent to
 // (but much cheaper than) looping Set(i, def) over the whole array.

@@ -138,3 +138,48 @@ func TestHugeVirtualLength(t *testing.T) {
 		t.Fatal("values drifted at the extremes")
 	}
 }
+
+func TestGrow(t *testing.T) {
+	a := New[int](0, -1)
+	a.Grow(0) // no-op
+	if a.Len() != 0 {
+		t.Fatalf("Len after Grow(0) = %d", a.Len())
+	}
+	for i := int64(0); i < 3*chunkSize; i++ {
+		a.Grow(i + 1)
+		a.Set(i, int(i))
+	}
+	a.Grow(5) // shrinking is a no-op
+	if a.Len() != 3*chunkSize {
+		t.Fatalf("Len = %d, want %d", a.Len(), 3*chunkSize)
+	}
+	// Growing past a partial last chunk keeps its values and defaults the
+	// fresh tail, including the unwritten slots of that same chunk.
+	b := New[int](chunkSize/2, -1)
+	b.Set(chunkSize/2-1, 9)
+	b.Grow(4*chunkSize + 1)
+	if got := b.Get(chunkSize/2 - 1); got != 9 {
+		t.Fatalf("value lost across Grow: %d", got)
+	}
+	for _, i := range []int64{chunkSize / 2, chunkSize, 4 * chunkSize} {
+		if got := b.Get(i); got != -1 {
+			t.Fatalf("Get(%d) after Grow = %d, want default", i, got)
+		}
+	}
+	if b.Chunks() != 1 {
+		t.Fatalf("Grow materialized chunks: %d", b.Chunks())
+	}
+	for i := int64(0); i < a.Len(); i++ {
+		if a.Get(i) != int(i) {
+			t.Fatalf("Get(%d) = %d", i, a.Get(i))
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Get past the grown length did not panic")
+			}
+		}()
+		b.Get(4*chunkSize + 1)
+	}()
+}
