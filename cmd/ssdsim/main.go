@@ -263,51 +263,18 @@ func simConfig(p params, footprint int64) sim.Config {
 // integrity oracle checks every durably acknowledged page, and the rest of
 // the trace runs on the recovered device.
 func runWithCrash(cfg sim.Config, dev sim.Device, recs []trace.Record, footprint int64, precond bool) error {
-	shadow, ackOnWrite := sim.AttachShadow(dev)
-	hr, ok := dev.(sim.HashReader)
-	if !ok {
-		return fmt.Errorf("device %T lacks ReadHash; cannot verify crash recovery", dev)
+	c, err := sim.NewChecked(dev, footprint)
+	if err != nil {
+		return err
 	}
-	var end ssd.Time
 	if precond {
-		for lpn := int64(0); lpn < footprint; lpn++ {
-			h := sim.PreconditionHash(lpn)
-			done, err := dev.Write(ftl.LPN(lpn), h, 0)
-			if err != nil {
-				return fmt.Errorf("precondition write %d: %w", lpn, err)
-			}
-			shadow.Observe(ftl.LPN(lpn), h)
-			if ackOnWrite {
-				shadow.Ack(ftl.LPN(lpn), h)
-			}
-			if done > end {
-				end = done
-			}
+		if err := c.Precondition(); err != nil {
+			return err
 		}
 	}
-	shift := end + ssd.Millisecond
 	crashed := false
 	for i, rec := range recs {
-		if int64(rec.LBA) >= footprint {
-			return fmt.Errorf("record %d LBA %d outside logical space %d", i, rec.LBA, footprint)
-		}
-		arrival := shift + ssd.Time(rec.Time)
-		lpn := ftl.LPN(rec.LBA)
-		var err error
-		switch rec.Op {
-		case trace.OpWrite:
-			_, err = dev.Write(lpn, rec.Hash, arrival)
-			if err == nil {
-				shadow.Observe(lpn, rec.Hash)
-				if ackOnWrite {
-					shadow.Ack(lpn, rec.Hash)
-				}
-			}
-		case trace.OpRead:
-			_, err = dev.Read(lpn, arrival)
-		default:
-			return fmt.Errorf("record %d has unknown op %v", i, rec.Op)
-		}
+		_, err := c.Do(rec)
 		if err == nil {
 			continue
 		}
@@ -315,22 +282,18 @@ func runWithCrash(cfg sim.Config, dev sim.Device, recs []trace.Record, footprint
 			return fmt.Errorf("record %d: %w", i, err)
 		}
 		crashed = true
-		var iw *sim.InterruptedWrite
-		if errors.As(err, &iw) {
-			shadow.Exempt(iw.LPN) // torn-write exclusion for the in-flight page
-		}
-		rep, rerr := sim.Recover(dev, sim.RecoverOptions{})
+		rep, rerr := c.Recover(err, sim.RecoverOptions{})
 		if rerr != nil {
 			return fmt.Errorf("recovery after crash at record %d: %w", i, rerr)
 		}
-		viol := shadow.Verify(hr)
+		viol := c.Verify()
 		fmt.Printf("power loss  at record %d (flash op %d)\n", i, cfg.Faults.CrashAtOp)
 		fmt.Printf("recovery    scanned=%d pages (%.1f ms at %dµs/read)  torn=%d  bad-skipped=%d\n",
 			rep.PagesScanned, float64(rep.ScanCost(cfg.Latency.Read))/float64(ssd.Millisecond),
 			cfg.Latency.Read/ssd.Microsecond, rep.TornDiscarded, rep.BadSkipped)
 		fmt.Printf("rebuilt     mappings=%d  zombies=%d  journal replayed=%d discarded=%d\n",
 			rep.Winners, rep.Garbage, rep.JournalReplayed, rep.JournalDiscarded)
-		fmt.Printf("oracle      %d pages checked, %d violations\n", shadow.Len(), len(viol))
+		fmt.Printf("oracle      %d pages checked, %d violations\n", c.Pages(), len(viol))
 		for _, v := range viol {
 			fmt.Printf("  VIOLATION %v\n", v)
 		}
@@ -338,8 +301,8 @@ func runWithCrash(cfg sim.Config, dev sim.Device, recs []trace.Record, footprint
 	if !crashed {
 		fmt.Printf("power loss  never fired (-crash-at %d beyond the run's flash ops)\n", cfg.Faults.CrashAtOp)
 	}
-	finalViol := shadow.Verify(hr)
-	fmt.Printf("final       %d pages checked, %d violations after finishing the trace\n", shadow.Len(), len(finalViol))
+	finalViol := c.Verify()
+	fmt.Printf("final       %d pages checked, %d violations after finishing the trace\n", c.Pages(), len(finalViol))
 	m := dev.Metrics()
 	fmt.Printf("flash       programs=%d reads=%d erases=%d  revived=%d dedupHits=%d\n",
 		m.FlashPrograms, m.FlashReads, m.FlashErases, m.Revived, m.DedupHits)

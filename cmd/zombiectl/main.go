@@ -154,12 +154,10 @@ func runExperiments(opts experiments.Options, ids []string, quiet, csv bool,
 		}
 		note("%s done in %v\n", id, time.Since(start).Round(time.Millisecond))
 		if csv {
-			if t, ok := res.(experiments.Tabler); ok {
-				fmt.Println(t.Table().CSV())
-				continue
-			}
+			fmt.Println(res.Table().CSV())
+		} else {
+			fmt.Println(res.Table().String())
 		}
-		fmt.Println(res.String())
 	}
 	if tf.WantsExport() {
 		if matrix == nil {

@@ -75,9 +75,6 @@ func (r *AblationPolicyResult) Table() Table {
 	}
 }
 
-// String renders the policy ablation.
-func (r *AblationPolicyResult) String() string { return r.Table().String() }
-
 // -------------------------------------------------- popularity-aware GC --
 
 // AblationGCRow is one GC-weight point.
@@ -145,9 +142,6 @@ func (r *AblationGCResult) Table() Table {
 		Rows:   rows,
 	}
 }
-
-// String renders the GC-weight ablation.
-func (r *AblationGCResult) String() string { return r.Table().String() }
 
 // -------------------------------------------------------- adaptive pool --
 
@@ -246,9 +240,6 @@ func (r *AblationAdaptiveResult) Table() Table {
 	}
 }
 
-// String renders the adaptive-capacity ablation.
-func (r *AblationAdaptiveResult) String() string { return r.Table().String() }
-
 // --------------------------------------------------------- background GC --
 
 // AblationBGCRow is one soft-threshold setting.
@@ -341,6 +332,3 @@ func (r *AblationBGCResult) Table() Table {
 		Rows:   rows,
 	}
 }
-
-// String renders the background-GC ablation.
-func (r *AblationBGCResult) String() string { return r.Table().String() }

@@ -5,9 +5,7 @@ import (
 	"fmt"
 
 	"zombiessd/internal/fault"
-	"zombiessd/internal/ftl"
 	"zombiessd/internal/health"
-	"zombiessd/internal/scrub"
 	"zombiessd/internal/sim"
 	"zombiessd/internal/ssd"
 	"zombiessd/internal/trace"
@@ -152,38 +150,15 @@ type chaosLife struct {
 func runChaosLife(cfg sim.Config, recs []trace.Record, footprint int64, schedule []int64) (chaosLife, error) {
 	out := chaosLife{survived: true}
 	cfg.Faults.CrashAtOp = 0
-	dev, err := sim.NewDevice(cfg)
+	dev, c, err := checkedDevice(cfg, footprint)
 	if err != nil {
 		return out, err
-	}
-	shadow, ackOnWrite := sim.AttachShadow(dev)
-	hr, ok := dev.(sim.HashReader)
-	if !ok {
-		return out, fmt.Errorf("experiments: device %T lacks ReadHash", dev)
 	}
 	store := sim.StoreOf(dev)
 	if store == nil {
 		return out, fmt.Errorf("experiments: device %T exposes no store", dev)
 	}
-
-	// Preconditioning fill, bit-identical to sim.Run's.
-	var end ssd.Time
-	for lpn := int64(0); lpn < footprint; lpn++ {
-		h := sim.PreconditionHash(lpn)
-		done, err := dev.Write(ftl.LPN(lpn), h, 0)
-		if err != nil {
-			return out, fmt.Errorf("experiments: chaos precondition write %d: %w", lpn, err)
-		}
-		shadow.Observe(ftl.LPN(lpn), h)
-		if ackOnWrite {
-			shadow.Ack(ftl.LPN(lpn), h)
-		}
-		if done > end {
-			end = done
-		}
-	}
 	out.opsPrecondition = busOps(dev)
-	shift := end + ssd.Millisecond
 
 	next := 0
 	if next < len(schedule) {
@@ -194,41 +169,18 @@ func runChaosLife(cfg sim.Config, recs []trace.Record, footprint int64, schedule
 	lats := make([]ssd.Time, 0, len(recs)/4)
 replay:
 	for i, rec := range recs {
-		arrival := shift + ssd.Time(rec.Time)
-		lpn := ftl.LPN(rec.LBA)
-		var err error
-		switch rec.Op {
-		case trace.OpWrite:
-			_, err = dev.Write(lpn, rec.Hash, arrival)
-			if err == nil {
-				shadow.Observe(lpn, rec.Hash)
-				if ackOnWrite {
-					shadow.Ack(lpn, rec.Hash)
-				}
-			}
-		case trace.OpRead:
-			var done ssd.Time
-			done, err = dev.Read(lpn, arrival)
-			if err == nil {
-				lats = append(lats, done-arrival)
-			}
-		default:
-			return out, fmt.Errorf("experiments: record %d has unknown op %v", i, rec.Op)
-		}
+		done, err := c.Do(rec)
 		switch {
 		case err == nil:
+			if rec.Op == trace.OpRead {
+				lats = append(lats, done-c.Shift-ssd.Time(rec.Time))
+			}
 		case errors.Is(err, fault.ErrPowerLoss):
 			out.crashes++
-			// The page under write when power failed has no atomicity
-			// guarantee; every other acknowledged page must survive.
-			var iw *sim.InterruptedWrite
-			if errors.As(err, &iw) {
-				shadow.Exempt(iw.LPN)
-			}
-			if _, err := sim.Recover(dev, sim.RecoverOptions{}); err != nil {
+			if _, err := c.Recover(err, sim.RecoverOptions{}); err != nil {
 				return out, fmt.Errorf("experiments: chaos recovery after crash %d: %w", out.crashes, err)
 			}
-			out.violations += len(shadow.Verify(hr))
+			out.violations += len(c.Verify())
 			if next < len(schedule) {
 				store.ArmCrash(schedule[next])
 				next++
@@ -246,7 +198,7 @@ replay:
 		}
 	}
 	out.opsTotal = busOps(dev)
-	out.violations += len(shadow.Verify(hr))
+	out.violations += len(c.Verify())
 	out.lost = store.LostPages()
 	out.fstats = store.FaultStats()
 	if hd, ok := dev.(interface{ HealthStats() health.Stats }); ok {
@@ -273,14 +225,7 @@ func RunChaossweep(o Options) (*ChaossweepResult, error) {
 	if cycles == 0 {
 		cycles = DefaultChaosCycles
 	}
-	small := o
-	small.Requests = o.Requests / chaosSweepDivisor
-	if small.Requests < chaosSweepFloor {
-		small.Requests = chaosSweepFloor
-	}
-	if small.Requests > o.Requests {
-		small.Requests = o.Requests
-	}
+	small := o.scaled(chaosSweepDivisor, chaosSweepFloor)
 	if !small.Faults.Active() {
 		small.Faults = DefaultChaosFaultPlan(small.ChaosSeed + 1)
 	}
@@ -295,10 +240,7 @@ func RunChaossweep(o Options) (*ChaossweepResult, error) {
 	// Decaying flash needs the patrol, as in the scrubsweep's on arms.
 	for i := range archs {
 		if archs[i].cfg.Faults.IntegrityArmed() && !archs[i].cfg.Scrub.Enabled() {
-			archs[i].cfg.Scrub = scrub.Config{
-				Interval:    scrubIntervalFor(DefaultScrubSweepPeriod, archs[i].cfg.Geometry),
-				RefreshRBER: DefaultScrubRefreshRBER,
-			}
+			archs[i].cfg.Scrub = defaultPatrol(archs[i].cfg.Geometry)
 		}
 	}
 
@@ -410,6 +352,3 @@ func (r *ChaossweepResult) Table() Table {
 		},
 	}
 }
-
-// String renders the soak table.
-func (r *ChaossweepResult) String() string { return r.Table().String() }

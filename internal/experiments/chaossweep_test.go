@@ -53,7 +53,7 @@ func TestChaosSoak(t *testing.T) {
 	if total < 25 {
 		t.Errorf("soak exercised %d crash cycles across all arms, want ≥ 25", total)
 	}
-	t.Logf("\n%s", r)
+	t.Logf("\n%s", r.Table())
 }
 
 // TestNoHealthBitIdentity pins two invariants of the governor work. First,

@@ -65,9 +65,6 @@ func (r *Fig1Result) Table() Table {
 	}
 }
 
-// String renders the Fig 1 table.
-func (r *Fig1Result) String() string { return r.Table().String() }
-
 // ---------------------------------------------------------------- Fig 2 --
 
 // Fig2Result is the CDF of per-value invalidation counts for mail.
@@ -110,9 +107,6 @@ func (r *Fig2Result) Table() Table {
 			pct(r.LiveFraction*100), r.UniqueValues)},
 	}
 }
-
-// String renders selected points of the CDF.
-func (r *Fig2Result) String() string { return r.Table().String() }
 
 // samplePoints thins a CDF to at most n rows, keeping first and last.
 func samplePoints(pts []analysis.CDFPoint, n int) []analysis.CDFPoint {
@@ -174,9 +168,6 @@ func (r *Fig3Result) Table() Table {
 	}
 }
 
-// String renders the three curves side by side.
-func (r *Fig3Result) String() string { return r.Table().String() }
-
 // ---------------------------------------------------------------- Fig 4 --
 
 // Fig4Result is the popularity-binned timing study of Fig 4 on mail.
@@ -211,9 +202,6 @@ func (r *Fig4Result) Table() Table {
 		Rows:   rows,
 	}
 }
-
-// String renders the three Fig 4 series by popularity degree.
-func (r *Fig4Result) String() string { return r.Table().String() }
 
 // ---------------------------------------------------------------- Fig 5 --
 
@@ -282,9 +270,6 @@ func (r *Fig5Result) Table() Table {
 	}
 }
 
-// String renders writes per buffer size, one row per trace-day.
-func (r *Fig5Result) String() string { return r.Table().String() }
-
 // ---------------------------------------------------------------- Fig 6 --
 
 // Fig6Result is the avoidable-miss study of Fig 6 (mail day 2, small LRU).
@@ -328,9 +313,6 @@ func (r *Fig6Result) Table() Table {
 	}
 }
 
-// String renders average misses per popularity degree.
-func (r *Fig6Result) String() string { return r.Table().String() }
-
 // -------------------------------------------------------------- Table I --
 
 // Table1Result is the modeled SSD configuration.
@@ -366,9 +348,6 @@ func (r *Table1Result) Table() Table {
 		Rows:   rows,
 	}
 }
-
-// String renders Table I.
-func (r *Table1Result) String() string { return r.Table().String() }
 
 // ------------------------------------------------------------- Table II --
 
@@ -424,6 +403,3 @@ func (r *Table2Result) Table() Table {
 		Rows:   rows,
 	}
 }
-
-// String renders the Table II columns.
-func (r *Table2Result) String() string { return r.Table().String() }

@@ -109,18 +109,21 @@ func TestCrashsweepSmoke(t *testing.T) {
 	if warm.Retention() <= 0 {
 		t.Error("warm recovery retained none of the pre-crash hit rate")
 	}
-	t.Log("\n" + r.String())
+	t.Log("\n" + r.Table().String())
 }
 
 // TestCrashsweepDeterministic pins that the sweep is a pure function of
-// its options: same workload, seed and crash points, same aggregates.
+// its options: same workload, seed and crash points, same aggregates,
+// whether the pilots and points run on one worker or four.
 func TestCrashsweepDeterministic(t *testing.T) {
 	o := smallOpts()
 	o.CrashPoints = 1
+	o.Jobs = 1
 	a, err := RunCrashsweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.Jobs = 4
 	b, err := RunCrashsweep(o)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +133,7 @@ func TestCrashsweepDeterministic(t *testing.T) {
 	}
 	for i := range a.Arms {
 		if a.Arms[i] != b.Arms[i] {
-			t.Errorf("arm %d differs across identical runs:\n %+v\n %+v", i, a.Arms[i], b.Arms[i])
+			t.Errorf("arm %d differs between 1 and 4 workers:\n %+v\n %+v", i, a.Arms[i], b.Arms[i])
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"zombiessd/internal/fault"
-	"zombiessd/internal/ftl"
 	"zombiessd/internal/recovery"
 	"zombiessd/internal/sim"
 	"zombiessd/internal/ssd"
@@ -22,6 +21,10 @@ const DefaultCrashPoints = 32
 // every crash point replays the whole trace on a fresh device, so the
 // sweep pays points × architectures full runs.
 const crashSweepDivisor = 8
+
+// crashSweepFloor keeps each replay long enough to cross GC and leave a
+// crash window after preconditioning.
+const crashSweepFloor = 3000
 
 // crashWriteBufferPages sizes the DRAM write-back buffer of the sweep's
 // buffered arm (1 MB of 4 KB pages).
@@ -90,59 +93,34 @@ func busOps(dev sim.Device) int64 {
 	return r + p + e
 }
 
+// checkedDevice builds a fresh device from cfg under the checked replay,
+// its footprint preconditioned.
+func checkedDevice(cfg sim.Config, footprint int64) (sim.Device, *sim.Checked, error) {
+	dev, err := sim.NewDevice(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := sim.NewChecked(dev, footprint)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dev, c, c.Precondition()
+}
+
 // runCrashPoint replays the trace on a fresh device armed to lose power at
 // flash op crashAt (0 = never, the pilot), recovering and oracle-checking
 // when the crash fires and again after the remaining requests.
 func runCrashPoint(cfg sim.Config, recs []trace.Record, footprint, crashAt int64, cold bool) (crashPointResult, error) {
 	var out crashPointResult
 	cfg.Faults.CrashAtOp = crashAt
-	dev, err := sim.NewDevice(cfg)
+	dev, c, err := checkedDevice(cfg, footprint)
 	if err != nil {
 		return out, err
 	}
-	shadow, ackOnWrite := sim.AttachShadow(dev)
-	hr, ok := dev.(sim.HashReader)
-	if !ok {
-		return out, fmt.Errorf("experiments: device %T lacks ReadHash", dev)
-	}
-
-	// Preconditioning fill, bit-identical to sim.Run's.
-	var end ssd.Time
-	for lpn := int64(0); lpn < footprint; lpn++ {
-		h := sim.PreconditionHash(lpn)
-		done, err := dev.Write(ftl.LPN(lpn), h, 0)
-		if err != nil {
-			return out, fmt.Errorf("experiments: crash precondition write %d: %w", lpn, err)
-		}
-		shadow.Observe(ftl.LPN(lpn), h)
-		if ackOnWrite {
-			shadow.Ack(ftl.LPN(lpn), h)
-		}
-		if done > end {
-			end = done
-		}
-	}
 	out.opsPrecondition = busOps(dev)
-	shift := end + ssd.Millisecond
 
 	for i, rec := range recs {
-		arrival := shift + ssd.Time(rec.Time)
-		lpn := ftl.LPN(rec.LBA)
-		var err error
-		switch rec.Op {
-		case trace.OpWrite:
-			_, err = dev.Write(lpn, rec.Hash, arrival)
-			if err == nil {
-				shadow.Observe(lpn, rec.Hash)
-				if ackOnWrite {
-					shadow.Ack(lpn, rec.Hash)
-				}
-			}
-		case trace.OpRead:
-			_, err = dev.Read(lpn, arrival)
-		default:
-			return out, fmt.Errorf("experiments: record %d has unknown op %v", i, rec.Op)
-		}
+		_, err := c.Do(rec)
 		if err == nil {
 			continue
 		}
@@ -150,26 +128,17 @@ func runCrashPoint(cfg sim.Config, recs []trace.Record, footprint, crashAt int64
 			return out, fmt.Errorf("experiments: crash record %d: %w", i, err)
 		}
 		out.crashed = true
-
-		// The page under write when power failed has no atomicity
-		// guarantee (flash's torn-write exclusion); every other
-		// acknowledged page must survive recovery intact.
-		var iw *sim.InterruptedWrite
-		if errors.As(err, &iw) {
-			shadow.Exempt(iw.LPN)
-		}
-		pre := dev.Metrics().Pool
-		out.preHR = pre.HitRate()
-		out.report, err = sim.Recover(dev, sim.RecoverOptions{ColdPool: cold})
+		out.preHR = dev.Metrics().Pool.HitRate()
+		out.report, err = c.Recover(err, sim.RecoverOptions{ColdPool: cold})
 		if err != nil {
 			return out, fmt.Errorf("experiments: recovery at op %d: %w", crashAt, err)
 		}
-		out.violations += len(shadow.Verify(hr))
+		out.violations += len(c.Verify())
 	}
 	out.opsTotal = busOps(dev)
 	// Final check: the recovered device must have served the rest of the
 	// trace without corrupting anything.
-	out.violations += len(shadow.Verify(hr))
+	out.violations += len(c.Verify())
 	if out.crashed {
 		out.postHR = dev.Metrics().Pool.HitRate()
 	}
@@ -220,14 +189,7 @@ func RunCrashsweep(o Options) (*CrashsweepResult, error) {
 	if points == 0 {
 		points = DefaultCrashPoints
 	}
-	small := o
-	small.Requests = o.Requests / crashSweepDivisor
-	if small.Requests < 3000 {
-		small.Requests = 3000
-	}
-	if small.Requests > o.Requests {
-		small.Requests = o.Requests
-	}
+	small := o.scaled(crashSweepDivisor, crashSweepFloor)
 	const workloadName = "mail"
 	recs, footprint, err := small.traceFor(workloadName)
 	if err != nil {
@@ -244,20 +206,29 @@ func RunCrashsweep(o Options) (*CrashsweepResult, error) {
 		cold   bool
 		points []int64
 	}
+	pilots := make([]crashPointResult, len(archs))
+	errs := parallelCells(len(archs), small.Jobs, func(i int) error {
+		name := archs[i].name
+		pilot, err := runCrashPoint(archs[i].cfg, recs, footprint, 0, false)
+		switch {
+		case err != nil:
+			return fmt.Errorf("experiments: crashsweep pilot %s: %w", name, err)
+		case pilot.violations > 0:
+			return fmt.Errorf("experiments: crashsweep pilot %s: %d oracle violations without a crash",
+				name, pilot.violations)
+		case pilot.opsTotal <= pilot.opsPrecondition:
+			return fmt.Errorf("experiments: crashsweep pilot %s issued no flash ops after preconditioning", name)
+		}
+		pilots[i] = pilot
+		return nil
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
 	var arms []armSpec
 	for i, a := range archs {
-		pilot, err := runCrashPoint(a.cfg, recs, footprint, 0, false)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: crashsweep pilot %s: %w", a.name, err)
-		}
-		if pilot.violations > 0 {
-			return nil, fmt.Errorf("experiments: crashsweep pilot %s: %d oracle violations without a crash",
-				a.name, pilot.violations)
-		}
+		pilot := pilots[i]
 		window := pilot.opsTotal - pilot.opsPrecondition
-		if window <= 0 {
-			return nil, fmt.Errorf("experiments: crashsweep pilot %s issued no flash ops after preconditioning", a.name)
-		}
 		state := uint64(small.CrashSeed)*0x9E3779B97F4A7C15 + uint64(i+1)
 		ks := make([]int64, points)
 		for j := range ks {
@@ -279,7 +250,7 @@ func RunCrashsweep(o Options) (*CrashsweepResult, error) {
 			cells = append(cells, cellKey{ai, pi})
 		}
 	}
-	errs := parallelCells(len(cells), small.Jobs, func(i int) error {
+	errs = parallelCells(len(cells), small.Jobs, func(i int) error {
 		c := cells[i]
 		arm := arms[c.arm]
 		k := arm.points[c.point]
@@ -360,6 +331,3 @@ func (r *CrashsweepResult) Table() Table {
 		},
 	}
 }
-
-// String renders the sweep table.
-func (r *CrashsweepResult) String() string { return r.Table().String() }

@@ -117,14 +117,7 @@ func RunDftlsweep(o Options) (*DftlsweepResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	small := o
-	small.Requests = o.Requests / dftlSweepDivisor
-	if small.Requests < dftlSweepFloor {
-		small.Requests = dftlSweepFloor
-	}
-	if small.Requests > o.Requests {
-		small.Requests = o.Requests
-	}
+	small := o.scaled(dftlSweepDivisor, dftlSweepFloor)
 	const workloadName = "mail"
 	recs, footprint, err := small.traceFor(workloadName)
 	if err != nil {
@@ -221,6 +214,3 @@ func (r *DftlsweepResult) Table() Table {
 		},
 	}
 }
-
-// String renders the sweep table.
-func (r *DftlsweepResult) String() string { return r.Table().String() }

@@ -70,7 +70,7 @@ func TestDftlsweepAttribution(t *testing.T) {
 			t.Errorf("%s small-CMT: no revivals — the dead-value pool died under DFTL", arch)
 		}
 	}
-	t.Logf("\n%s", r)
+	t.Logf("\n%s", r.Table())
 }
 
 // TestNoDftlBitIdentity pins two invariants of the flash-resident mapping

@@ -77,9 +77,6 @@ func (r *Fig9Result) Table() Table {
 	}
 }
 
-// String renders Fig 9.
-func (r *Fig9Result) String() string { return r.Table().String() }
-
 // --------------------------------------------------------------- Fig 10 --
 
 // Fig10Row is one workload of Fig 10: erase-count reduction.
@@ -131,9 +128,6 @@ func (r *Fig10Result) Table() Table {
 		Rows:   rows,
 	}
 }
-
-// String renders Fig 10.
-func (r *Fig10Result) String() string { return r.Table().String() }
 
 // --------------------------------------------------------------- Fig 11 --
 
@@ -189,9 +183,6 @@ func (r *Fig11Result) Table() Table {
 		Rows:   rows,
 	}
 }
-
-// String renders Fig 11.
-func (r *Fig11Result) String() string { return r.Table().String() }
 
 // --------------------------------------------------------------- Fig 12 --
 
@@ -249,9 +240,6 @@ func (r *Fig12Result) Table() Table {
 		Rows:   rows,
 	}
 }
-
-// String renders Fig 12.
-func (r *Fig12Result) String() string { return r.Table().String() }
 
 // --------------------------------------------------------------- Fig 14 --
 
@@ -320,9 +308,6 @@ func (r *Fig14Result) Table() Table {
 	}
 }
 
-// String renders Fig 14.
-func (r *Fig14Result) String() string { return r.Table().String() }
-
 // --------------------------------------------------------------- Fig 15 --
 
 // Fig15Row is one workload of Fig 15: mean-latency improvement of DVP,
@@ -388,6 +373,3 @@ func (r *Fig15Result) Table() Table {
 		Notes:  []string{"extra latency improvement of DVP+dedup over dedup alone: " + pct(r.ExtraOverDedup)},
 	}
 }
-
-// String renders Fig 15.
-func (r *Fig15Result) String() string { return r.Table().String() }

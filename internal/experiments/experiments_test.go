@@ -78,7 +78,7 @@ func TestCharacterizationExperiments(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		out := res.String()
+		out := res.Table().String()
 		if len(out) < 40 || !strings.Contains(out, "\n") {
 			t.Errorf("%s rendered suspiciously short output:\n%s", id, out)
 		}
@@ -296,9 +296,9 @@ func TestEvaluationMatrixAndFigures(t *testing.T) {
 	}
 
 	// Every result renders.
-	for _, s := range []interface{ String() string }{fig9, fig10, fig11, fig12, fig14, fig15} {
-		if len(s.String()) < 40 {
-			t.Errorf("short render: %q", s.String())
+	for _, r := range []Tabler{fig9, fig10, fig11, fig12, fig14, fig15} {
+		if s := r.Table().String(); len(s) < 40 {
+			t.Errorf("short render: %q", s)
 		}
 	}
 }
@@ -330,12 +330,7 @@ func TestEveryExperimentResultIsTabler(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		tab, ok := res.(Tabler)
-		if !ok {
-			t.Errorf("%s result does not implement Tabler", id)
-			continue
-		}
-		tbl := tab.Table()
+		tbl := res.Table()
 		if tbl.Title == "" || len(tbl.Header) == 0 || len(tbl.Rows) == 0 {
 			t.Errorf("%s produced an empty table", id)
 		}

@@ -98,6 +98,3 @@ func (r *AblationFaultsResult) Table() Table {
 		Rows:   rows,
 	}
 }
-
-// String renders the fault-tolerance ablation.
-func (r *AblationFaultsResult) String() string { return r.Table().String() }

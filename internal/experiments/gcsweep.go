@@ -167,14 +167,7 @@ func RunGCsweep(o Options) (*GCsweepResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	small := o
-	small.Requests = o.Requests / gcSweepDivisor
-	if small.Requests < gcSweepFloor {
-		small.Requests = gcSweepFloor
-	}
-	if small.Requests > o.Requests {
-		small.Requests = o.Requests
-	}
+	small := o.scaled(gcSweepDivisor, gcSweepFloor)
 	const workloadName = "mail"
 	recs, footprint, err := small.traceFor(workloadName)
 	if err != nil {
@@ -340,6 +333,3 @@ func (r *GCsweepResult) Table() Table {
 		"tail should collapse under partial+susp while blocking leaves it inflated by the antagonist's GC.")
 	return t
 }
-
-// String renders the aligned text table.
-func (r *GCsweepResult) String() string { return r.Table().String() }

@@ -171,7 +171,7 @@ func TestGCsweepSmoke(t *testing.T) {
 			t.Errorf("table header lacks %q: %v", col, tab.Header)
 		}
 	}
-	if !strings.Contains(r.String(), "antag:") {
+	if !strings.Contains(r.Table().String(), "antag:") {
 		t.Error("rendered table lacks the antagonist rows")
 	}
 }

@@ -92,6 +92,3 @@ func (r *LifetimeResult) Table() Table {
 		Notes:  notes,
 	}
 }
-
-// String renders the lifetime run.
-func (r *LifetimeResult) String() string { return r.Table().String() }

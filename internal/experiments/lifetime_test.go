@@ -26,9 +26,9 @@ func TestFig9BitIdenticalWithFaultWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.String() != weighted.String() {
+	if b, w := base.Table().String(), weighted.Table().String(); b != w {
 		t.Errorf("zero-fault fig9 changed under gc-fault-weight 16:\n--- weight 0\n%s\n--- weight 16\n%s",
-			base, weighted)
+			b, w)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestRunLifetimeExperiment(t *testing.T) {
 	if got := len(res.R.Series); got != len(want) {
 		t.Fatalf("lifetime ran %d arms, want %d", got, len(want))
 	}
-	out := res.String()
+	out := res.Table().String()
 	for _, k := range want {
 		if _, ok := res.R.SeriesByKind(k); !ok {
 			t.Errorf("no series for %s", k)

@@ -216,6 +216,15 @@ func (o Options) ScaleEntries(paperEntries int) int {
 	return scaled
 }
 
+// scaled returns o with Requests shrunk by divisor for a sweep that pays
+// many full replays, floored so each replay still exercises what the sweep
+// measures, and never above o.Requests.
+func (o Options) scaled(divisor, floor int64) Options {
+	s := o
+	s.Requests = min(max(o.Requests/divisor, floor), o.Requests)
+	return s
+}
+
 // deviceConfig assembles the sim.Config shared by every full-simulation
 // experiment for a workload with the given footprint.
 func (o Options) deviceConfig(kind sim.Kind, footprint int64, poolKind sim.PoolKind, paperEntries int) sim.Config {

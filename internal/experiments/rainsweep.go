@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"zombiessd/internal/ftl"
 	"zombiessd/internal/rain"
-	"zombiessd/internal/scrub"
 	"zombiessd/internal/sim"
 	"zombiessd/internal/ssd"
 	"zombiessd/internal/trace"
@@ -88,61 +86,15 @@ const rainDrainCap = 4
 // every durably acknowledged page is checked against the oracle.
 func runRainCell(cfg sim.Config, recs []trace.Record, footprint int64) (rainCell, error) {
 	var out rainCell
-	dev, err := sim.NewDevice(cfg)
+	dev, c, err := checkedDevice(cfg, footprint)
 	if err != nil {
 		return out, err
 	}
-	shadow, ackOnWrite := sim.AttachShadow(dev)
-	hr, ok := dev.(sim.HashReader)
-	if !ok {
-		return out, fmt.Errorf("experiments: device %T lacks ReadHash", dev)
-	}
-
-	// Preconditioning fill, bit-identical to sim.Run's.
-	var end ssd.Time
-	for lpn := int64(0); lpn < footprint; lpn++ {
-		h := sim.PreconditionHash(lpn)
-		done, err := dev.Write(ftl.LPN(lpn), h, 0)
-		if err != nil {
-			return out, fmt.Errorf("experiments: rain precondition write %d: %w", lpn, err)
-		}
-		shadow.Observe(ftl.LPN(lpn), h)
-		if ackOnWrite {
-			shadow.Ack(ftl.LPN(lpn), h)
-		}
-		if done > end {
-			end = done
-		}
-	}
 	base := dev.Metrics()
-	shift := end + ssd.Millisecond
 
 	for i, rec := range recs {
-		arrival := shift + ssd.Time(rec.Time)
-		lpn := ftl.LPN(rec.LBA)
-		switch rec.Op {
-		case trace.OpWrite:
-			done, err := dev.Write(lpn, rec.Hash, arrival)
-			if err != nil {
-				return out, fmt.Errorf("experiments: rain record %d: %w", i, err)
-			}
-			shadow.Observe(lpn, rec.Hash)
-			if ackOnWrite {
-				shadow.Ack(lpn, rec.Hash)
-			}
-			if done > end {
-				end = done
-			}
-		case trace.OpRead:
-			done, err := dev.Read(lpn, arrival)
-			if err != nil {
-				return out, fmt.Errorf("experiments: rain record %d: %w", i, err)
-			}
-			if done > end {
-				end = done
-			}
-		default:
-			return out, fmt.Errorf("experiments: record %d has unknown op %v", i, rec.Op)
+		if _, err := c.Do(rec); err != nil {
+			return out, fmt.Errorf("experiments: rain record %d: %w", i, err)
 		}
 	}
 
@@ -163,11 +115,11 @@ func runRainCell(cfg sim.Config, recs []trace.Record, footprint int64) (rainCell
 				return out, fmt.Errorf("experiments: rebuild drain exceeded %d ticks (%d pages pending)",
 					limit, store.RebuildPending())
 			}
-			if err := store.RebuildTick(end); err != nil {
+			if err := store.RebuildTick(c.End); err != nil {
 				return out, fmt.Errorf("experiments: rebuild drain: %w", err)
 			}
 		}
-		if err := store.FlushParity(end); err != nil {
+		if err := store.FlushParity(c.End); err != nil {
 			return out, fmt.Errorf("experiments: final parity flush: %w", err)
 		}
 		if err := store.CheckRain(); err != nil {
@@ -177,7 +129,7 @@ func runRainCell(cfg sim.Config, recs []trace.Record, footprint int64) (rainCell
 	}
 	out.m = dev.Metrics().Sub(base)
 	out.lost = store.LostPages()
-	out.dataLoss = len(shadow.Verify(hr))
+	out.dataLoss = len(c.Verify())
 	return out, nil
 }
 
@@ -194,14 +146,7 @@ func RunRainsweep(o Options) (*RainsweepResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	small := o
-	small.Requests = o.Requests / rainSweepDivisor
-	if small.Requests < rainSweepFloor {
-		small.Requests = rainSweepFloor
-	}
-	if small.Requests > o.Requests {
-		small.Requests = o.Requests
-	}
+	small := o.scaled(rainSweepDivisor, rainSweepFloor)
 	if !small.Faults.IntegrityArmed() {
 		small.Faults.Integrity = DefaultIntegrityPlan()
 	}
@@ -230,10 +175,7 @@ func RunRainsweep(o Options) (*RainsweepResult, error) {
 	for _, a := range archs {
 		cfg := a.cfg
 		if !cfg.Scrub.Enabled() {
-			cfg.Scrub = scrub.Config{
-				Interval:    scrubIntervalFor(DefaultScrubSweepPeriod, cfg.Geometry),
-				RefreshRBER: DefaultScrubRefreshRBER,
-			}
+			cfg.Scrub = defaultPatrol(cfg.Geometry)
 		}
 		dies := cfg.Geometry.TotalChips() * cfg.Geometry.DiesPerChip
 		die := int(splitmix64(&rng) % uint64(dies))
@@ -323,6 +265,3 @@ func (r *RainsweepResult) Table() Table {
 		},
 	}
 }
-
-// String renders the sweep table.
-func (r *RainsweepResult) String() string { return r.Table().String() }

@@ -45,7 +45,7 @@ func TestRainsweepDieFailureSurvival(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("\n%s", r)
+	t.Logf("\n%s", r.Table())
 }
 
 // TestNoRainBitIdentity pins two invariants of the RAIN work. First, with

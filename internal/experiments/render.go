@@ -66,7 +66,7 @@ func writeCSVRow(sb *strings.Builder, cells []string) {
 }
 
 // Tabler is implemented by every experiment result: the structured table
-// plus the fmt.Stringer text rendering derived from it.
+// that renders as text (Table.String) or CSV (Table.CSV).
 type Tabler interface {
 	Table() Table
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"zombiessd/internal/fault"
-	"zombiessd/internal/ftl"
 	"zombiessd/internal/scrub"
 	"zombiessd/internal/sim"
 	"zombiessd/internal/ssd"
@@ -96,69 +95,26 @@ type integrityCell struct {
 // the run — any error is fatal.
 func runIntegrityCell(cfg sim.Config, recs []trace.Record, footprint int64) (integrityCell, error) {
 	var out integrityCell
-	dev, err := sim.NewDevice(cfg)
+	dev, c, err := checkedDevice(cfg, footprint)
 	if err != nil {
 		return out, err
 	}
-	shadow, ackOnWrite := sim.AttachShadow(dev)
-	hr, ok := dev.(sim.HashReader)
-	if !ok {
-		return out, fmt.Errorf("experiments: device %T lacks ReadHash", dev)
-	}
-
-	// Preconditioning fill, bit-identical to sim.Run's.
-	var end ssd.Time
-	for lpn := int64(0); lpn < footprint; lpn++ {
-		h := sim.PreconditionHash(lpn)
-		done, err := dev.Write(ftl.LPN(lpn), h, 0)
-		if err != nil {
-			return out, fmt.Errorf("experiments: scrub precondition write %d: %w", lpn, err)
-		}
-		shadow.Observe(ftl.LPN(lpn), h)
-		if ackOnWrite {
-			shadow.Ack(ftl.LPN(lpn), h)
-		}
-		if done > end {
-			end = done
-		}
-	}
 	base := dev.Metrics()
-	shift := end + ssd.Millisecond
 
 	lats := make([]ssd.Time, 0, len(recs)/2)
 	for i, rec := range recs {
-		arrival := shift + ssd.Time(rec.Time)
-		lpn := ftl.LPN(rec.LBA)
-		switch rec.Op {
-		case trace.OpWrite:
-			done, err := dev.Write(lpn, rec.Hash, arrival)
-			if err != nil {
-				return out, fmt.Errorf("experiments: scrub record %d: %w", i, err)
-			}
-			shadow.Observe(lpn, rec.Hash)
-			if ackOnWrite {
-				shadow.Ack(lpn, rec.Hash)
-			}
-			if done > end {
-				end = done
-			}
-		case trace.OpRead:
-			done, err := dev.Read(lpn, arrival)
-			if err != nil {
-				return out, fmt.Errorf("experiments: scrub record %d: %w", i, err)
-			}
-			lats = append(lats, done-arrival)
-			if done > end {
-				end = done
-			}
-		default:
-			return out, fmt.Errorf("experiments: record %d has unknown op %v", i, rec.Op)
+		done, err := c.Do(rec)
+		if err != nil {
+			return out, fmt.Errorf("experiments: scrub record %d: %w", i, err)
+		}
+		if rec.Op == trace.OpRead {
+			lats = append(lats, done-c.Shift-ssd.Time(rec.Time))
 		}
 	}
 	out.m = dev.Metrics().Sub(base)
-	out.dataLoss = len(shadow.Verify(hr))
+	out.dataLoss = len(c.Verify())
 	out.readP99 = timeP99(lats)
-	out.makespan = end
+	out.makespan = c.End
 	return out, nil
 }
 
@@ -186,6 +142,16 @@ func scrubIntervalFor(period ssd.Time, geo ssd.Geometry) ssd.Time {
 	return iv
 }
 
+// defaultPatrol is the background patrol the sweeps arm when Options.Scrub
+// is disabled: one full pass every DefaultScrubSweepPeriod, refreshing
+// pages past DefaultScrubRefreshRBER.
+func defaultPatrol(geo ssd.Geometry) scrub.Config {
+	return scrub.Config{
+		Interval:    scrubIntervalFor(DefaultScrubSweepPeriod, geo),
+		RefreshRBER: DefaultScrubRefreshRBER,
+	}
+}
+
 // RunScrubsweep replays the mail workload against the accelerated
 // retention / read-disturb / wear error model on all five architectures,
 // with the background scrubber off (control) and on. The off arms show the
@@ -198,14 +164,7 @@ func RunScrubsweep(o Options) (*ScrubsweepResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	small := o
-	small.Requests = o.Requests / scrubSweepDivisor
-	if small.Requests < scrubSweepFloor {
-		small.Requests = scrubSweepFloor
-	}
-	if small.Requests > o.Requests {
-		small.Requests = o.Requests
-	}
+	small := o.scaled(scrubSweepDivisor, scrubSweepFloor)
 	if !small.Faults.IntegrityArmed() {
 		small.Faults.Integrity = DefaultIntegrityPlan()
 	}
@@ -227,10 +186,7 @@ func RunScrubsweep(o Options) (*ScrubsweepResult, error) {
 		off.Scrub = scrub.Config{}
 		on := a.cfg
 		if !on.Scrub.Enabled() {
-			on.Scrub = scrub.Config{
-				Interval:    scrubIntervalFor(DefaultScrubSweepPeriod, on.Geometry),
-				RefreshRBER: DefaultScrubRefreshRBER,
-			}
+			on.Scrub = defaultPatrol(on.Geometry)
 		}
 		arms = append(arms,
 			armSpec{arch: a.name, cfg: off},
@@ -304,6 +260,3 @@ func (r *ScrubsweepResult) Table() Table {
 		},
 	}
 }
-
-// String renders the sweep table.
-func (r *ScrubsweepResult) String() string { return r.Table().String() }

@@ -116,7 +116,7 @@ func TestScrubsweepSmoke(t *testing.T) {
 	if dvp.Revived == 0 {
 		t.Error("dvp revived nothing; the gate should vet, not veto")
 	}
-	t.Log("\n" + r.String())
+	t.Log("\n" + r.Table().String())
 }
 
 // TestScrubsweepDeterministic pins that the sweep is a pure function of

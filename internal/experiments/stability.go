@@ -78,6 +78,3 @@ func (r *StabilityResult) Table() Table {
 		Rows:   rows,
 	}
 }
-
-// String renders the stability study.
-func (r *StabilityResult) String() string { return r.Table().String() }

@@ -83,7 +83,7 @@ func TestTenantsweepSmoke(t *testing.T) {
 			t.Errorf("table header lacks %q: %v", col, tab.Header)
 		}
 	}
-	if !strings.Contains(r.String(), "qd=") {
+	if !strings.Contains(r.Table().String(), "qd=") {
 		t.Error("rendered table lacks the queue-depth note in its title")
 	}
 }

@@ -103,13 +103,7 @@ func RunTenantsweep(o Options) (*TenantsweepResult, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	requests := o.Requests / tenantSweepDivisor
-	if requests < tenantSweepFloor {
-		requests = tenantSweepFloor
-	}
-	if requests > o.Requests {
-		requests = o.Requests
-	}
+	requests := o.scaled(tenantSweepDivisor, tenantSweepFloor).Requests
 	qd := o.QueueDepth
 	if qd == 0 {
 		qd = DefaultTenantQueueDepth
@@ -224,6 +218,3 @@ func (r *TenantsweepResult) Table() Table {
 		"rej: arrivals shed by per-tenant queue-depth admission control")
 	return t
 }
-
-// String renders the aligned text table.
-func (r *TenantsweepResult) String() string { return r.Table().String() }

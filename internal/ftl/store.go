@@ -564,7 +564,7 @@ func (s *Store) Program(now ssd.Time) (ssd.PPN, ssd.Time, error) {
 	return s.ProgramStream(now, 0)
 }
 
-/// ProgramStream is Program targeting a specific host write stream: pages of
+// ProgramStream is Program targeting a specific host write stream: pages of
 // different streams never share a block, so callers can separate hot and
 // cold data. The stream index must be below StoreConfig.UserStreams (or 0
 // for single-stream stores).
@@ -1182,8 +1182,8 @@ func (s *Store) eraseVictim(plane int, v ssd.BlockID, now ssd.Time, relocated in
 	info.valid = 0
 	info.invalid = 0
 	info.erases++
-	info.reads = 0   // read disturb is reset by the erase
-	if info.trans {  // an erased translation block rejoins the general pool
+	info.reads = 0  // read disturb is reset by the erase
+	if info.trans { // an erased translation block rejoins the general pool
 		info.trans = false
 		if s.cmt != nil {
 			s.cmt.Stat.TransErased++

@@ -273,11 +273,6 @@ type Result struct {
 	Series        []Series
 }
 
-// preconditionValueBase offsets preconditioning content IDs far above any
-// workload-generated value ID (mirroring the sim runner), so the fill
-// never aliases trace values.
-const preconditionValueBase = uint64(1) << 48
-
 // Run ages every configured device kind to death (or budget) and returns
 // the per-epoch series.
 func Run(cfg Config) (*Result, error) {
@@ -389,7 +384,7 @@ func runKind(cfg Config, k Kind, recs []trace.Record, footprint int64) (Series, 
 	// (the property tests randomize them) still terminate cleanly.
 	var clock ssd.Time
 	for lpn := int64(0); lpn < footprint; lpn++ {
-		done, werr := dev.Write(ftl.LPN(lpn), trace.HashOfValue(preconditionValueBase+uint64(lpn)), 0)
+		done, werr := dev.Write(ftl.LPN(lpn), sim.PreconditionHash(lpn), 0)
 		if werr != nil {
 			if cause := causeOf(werr); cause != "" {
 				ser.Cause = cause

@@ -46,44 +46,16 @@ func replayWithCrash(t *testing.T, cfg Config, recs []trace.Record, footprint, c
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow, ackOnWrite := AttachShadow(dev)
-	hr, ok := dev.(HashReader)
-	if !ok {
-		t.Fatalf("device %T lacks ReadHash", dev)
+	c, err := NewChecked(dev, footprint)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var end ssd.Time
-	for lpn := int64(0); lpn < footprint; lpn++ {
-		h := PreconditionHash(lpn)
-		done, err := dev.Write(ftl.LPN(lpn), h, 0)
-		if err != nil {
-			t.Fatalf("precondition write %d: %v", lpn, err)
-		}
-		shadow.Observe(ftl.LPN(lpn), h)
-		if ackOnWrite {
-			shadow.Ack(ftl.LPN(lpn), h)
-		}
-		if done > end {
-			end = done
-		}
+	if err := c.Precondition(); err != nil {
+		t.Fatal(err)
 	}
 	opsPre = testBusOps(t, dev)
-	shift := end + ssd.Millisecond
 	for i, rec := range recs {
-		arrival := shift + ssd.Time(rec.Time)
-		lpn := ftl.LPN(rec.LBA)
-		var err error
-		switch rec.Op {
-		case trace.OpWrite:
-			_, err = dev.Write(lpn, rec.Hash, arrival)
-			if err == nil {
-				shadow.Observe(lpn, rec.Hash)
-				if ackOnWrite {
-					shadow.Ack(lpn, rec.Hash)
-				}
-			}
-		case trace.OpRead:
-			_, err = dev.Read(lpn, arrival)
-		}
+		_, err := c.Do(rec)
 		if err == nil {
 			continue
 		}
@@ -91,18 +63,14 @@ func replayWithCrash(t *testing.T, cfg Config, recs []trace.Record, footprint, c
 			t.Fatalf("record %d: %v", i, err)
 		}
 		crashed = true
-		var iw *InterruptedWrite
-		if errors.As(err, &iw) {
-			shadow.Exempt(iw.LPN)
-		}
-		if _, err := Recover(dev, RecoverOptions{}); err != nil {
+		if _, err := c.Recover(err, RecoverOptions{}); err != nil {
 			t.Fatalf("recovery at record %d: %v", i, err)
 		}
-		if v := shadow.Verify(hr); len(v) > 0 {
+		if v := c.Verify(); len(v) > 0 {
 			t.Fatalf("%d oracle violations after recovery, first: %v", len(v), v[0])
 		}
 	}
-	if v := shadow.Verify(hr); len(v) > 0 {
+	if v := c.Verify(); len(v) > 0 {
 		t.Fatalf("%d oracle violations after finishing the trace, first: %v", len(v), v[0])
 	}
 	return dev, opsPre, crashed

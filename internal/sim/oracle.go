@@ -7,6 +7,8 @@ import (
 
 	"zombiessd/internal/fault"
 	"zombiessd/internal/ftl"
+	"zombiessd/internal/recovery"
+	"zombiessd/internal/ssd"
 	"zombiessd/internal/trace"
 )
 
@@ -132,3 +134,109 @@ func AttachShadow(dev Device) (*Shadow, bool) {
 	}
 	return sh, true
 }
+
+// Checked replays a trace against one device under the integrity oracle.
+// It is the one loop every oracle-verified run goes through: the crash,
+// scrub, RAIN and chaos sweeps, ssdsim's -crash-at mode and the recovery
+// tests. Each accepted write is recorded in a shadow store, so Verify can
+// check every durably acknowledged page at any point. The caller keeps
+// its own error policy — which errors end the run, which are a crash to
+// Recover from, and which are shed writes to skip.
+type Checked struct {
+	// Shift maps trace time onto the device clock: a record submits at
+	// Shift + rec.Time. After Precondition it is the fill's last
+	// completion plus 1 ms, as in sim.Run; on an unfilled device, 1 ms.
+	Shift ssd.Time
+	// End is the latest completion the replay has seen, fill included.
+	End ssd.Time
+
+	dev     Device
+	hr      HashReader
+	shadow  *Shadow
+	ack     bool
+	logical int64
+}
+
+// NewChecked attaches a fresh shadow store to dev, which must expose
+// ReadHash, for a replay over logical pages [0, logicalPages).
+func NewChecked(dev Device, logicalPages int64) (*Checked, error) {
+	hr, ok := dev.(HashReader)
+	if !ok {
+		return nil, fmt.Errorf("sim: device %T lacks ReadHash; cannot verify", dev)
+	}
+	sh, ack := AttachShadow(dev)
+	return &Checked{Shift: ssd.Millisecond, dev: dev, hr: hr, shadow: sh, ack: ack, logical: logicalPages}, nil
+}
+
+// Precondition fills every logical page with PreconditionHash content at
+// time 0, in LPN order — the same fill as RunTenants — and moves Shift
+// past it.
+func (c *Checked) Precondition() error {
+	for lpn := int64(0); lpn < c.logical; lpn++ {
+		h := PreconditionHash(lpn)
+		done, err := c.dev.Write(lpnOf(lpn), h, 0)
+		if err != nil {
+			return fmt.Errorf("sim: precondition write %d: %w", lpn, err)
+		}
+		c.record(lpnOf(lpn), h, done)
+	}
+	c.Shift = c.End + ssd.Millisecond
+	return nil
+}
+
+// Do submits rec at Shift + rec.Time and returns its completion time. An
+// accepted write enters the shadow store; a device error is returned
+// untouched for the caller's policy. A record outside the logical space
+// or with an unknown op is rejected before it reaches the device.
+func (c *Checked) Do(rec trace.Record) (ssd.Time, error) {
+	if rec.LBA >= uint64(c.logical) {
+		return 0, fmt.Errorf("sim: LBA %d outside logical space %d", rec.LBA, c.logical)
+	}
+	lpn := lpnOf(int64(rec.LBA))
+	at := c.Shift + ssd.Time(rec.Time)
+	switch rec.Op {
+	case trace.OpWrite:
+		done, err := c.dev.Write(lpn, rec.Hash, at)
+		if err != nil {
+			return done, err
+		}
+		c.record(lpn, rec.Hash, done)
+		return done, nil
+	case trace.OpRead:
+		done, err := c.dev.Read(lpn, at)
+		if err == nil && done > c.End {
+			c.End = done
+		}
+		return done, err
+	default:
+		return 0, fmt.Errorf("sim: unknown op %v", rec.Op)
+	}
+}
+
+// record enters an accepted write into the shadow store.
+func (c *Checked) record(lpn ftl.LPN, h trace.Hash, done ssd.Time) {
+	c.shadow.Observe(lpn, h)
+	if c.ack {
+		c.shadow.Ack(lpn, h)
+	}
+	if done > c.End {
+		c.End = done
+	}
+}
+
+// Recover handles the power loss cut: the page under write when power
+// failed has no atomicity guarantee (flash's torn-write exclusion), so it
+// leaves verification; then the device rebuilds from its durable state.
+func (c *Checked) Recover(cut error, opts RecoverOptions) (recovery.Report, error) {
+	var iw *InterruptedWrite
+	if errors.As(cut, &iw) {
+		c.shadow.Exempt(iw.LPN)
+	}
+	return Recover(c.dev, opts)
+}
+
+// Verify checks every durably acknowledged page against the device.
+func (c *Checked) Verify() []Violation { return c.shadow.Verify(c.hr) }
+
+// Pages returns the number of pages under verification.
+func (c *Checked) Pages() int { return c.shadow.Len() }

@@ -88,42 +88,16 @@ func runRainCrash(t *testing.T, cfg Config, recs []trace.Record, crashAt int64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow, ackOnWrite := AttachShadow(dev)
-	hr := dev.(HashReader)
-	store := StoreOf(dev)
-
-	var end ssd.Time
-	for lpn := int64(0); lpn < rainFootprint; lpn++ {
-		h := PreconditionHash(lpn)
-		done, err := dev.Write(ftl.LPN(lpn), h, 0)
-		if err != nil {
-			t.Fatalf("precondition write %d: %v", lpn, err)
-		}
-		shadow.Observe(ftl.LPN(lpn), h)
-		if ackOnWrite {
-			shadow.Ack(ftl.LPN(lpn), h)
-		}
-		if done > end {
-			end = done
-		}
+	c, err := NewChecked(dev, rainFootprint)
+	if err != nil {
+		t.Fatal(err)
 	}
-	shift := end + ssd.Millisecond
+	store := StoreOf(dev)
+	if err := c.Precondition(); err != nil {
+		t.Fatal(err)
+	}
 	for i, rec := range recs {
-		arrival := shift + ssd.Time(rec.Time)
-		lpn := ftl.LPN(rec.LBA)
-		var err error
-		switch rec.Op {
-		case trace.OpWrite:
-			_, err = dev.Write(lpn, rec.Hash, arrival)
-			if err == nil {
-				shadow.Observe(lpn, rec.Hash)
-				if ackOnWrite {
-					shadow.Ack(lpn, rec.Hash)
-				}
-			}
-		case trace.OpRead:
-			_, err = dev.Read(lpn, arrival)
-		}
+		_, err := c.Do(rec)
 		if opsAtFail == 0 && store.DieFailed() {
 			opsAtFail = testBusOps(t, dev)
 		}
@@ -134,17 +108,13 @@ func runRainCrash(t *testing.T, cfg Config, recs []trace.Record, crashAt int64) 
 			t.Fatalf("record %d: %v", i, err)
 		}
 		crashed = true
-		var iw *InterruptedWrite
-		if errors.As(err, &iw) {
-			shadow.Exempt(iw.LPN)
-		}
-		if _, err := Recover(dev, RecoverOptions{}); err != nil {
+		if _, err := c.Recover(err, RecoverOptions{}); err != nil {
 			t.Fatalf("recovery at record %d: %v", i, err)
 		}
 		if err := store.CheckRain(); err != nil {
 			t.Fatalf("stripe invariant broken right after recovery: %v", err)
 		}
-		if v := shadow.Verify(hr); len(v) > 0 {
+		if v := c.Verify(); len(v) > 0 {
 			t.Fatalf("%d oracle violations after recovery, first: %v", len(v), v[0])
 		}
 		// The recovered rebuild plan must resume, not restart: its pending
@@ -178,11 +148,11 @@ func runRainCrash(t *testing.T, cfg Config, recs []trace.Record, crashAt int64) 
 		if i > int(cfg.Geometry.TotalPages())*4 {
 			t.Fatalf("rebuild drain never finished (%d pages pending)", store.RebuildPending())
 		}
-		if err := store.RebuildTick(shift + ssd.Time(recs[len(recs)-1].Time)); err != nil {
+		if err := store.RebuildTick(c.Shift + ssd.Time(recs[len(recs)-1].Time)); err != nil {
 			t.Fatalf("rebuild drain: %v", err)
 		}
 	}
-	if err := store.FlushParity(shift + ssd.Time(recs[len(recs)-1].Time)); err != nil {
+	if err := store.FlushParity(c.Shift + ssd.Time(recs[len(recs)-1].Time)); err != nil {
 		t.Fatalf("final parity flush: %v", err)
 	}
 	if err := store.CheckRain(); err != nil {
@@ -191,7 +161,7 @@ func runRainCrash(t *testing.T, cfg Config, recs []trace.Record, crashAt int64) 
 	if lost := store.LostPages(); lost != 0 {
 		t.Errorf("%d pages lost; a die failure under parity must lose nothing", lost)
 	}
-	if v := shadow.Verify(hr); len(v) > 0 {
+	if v := c.Verify(); len(v) > 0 {
 		t.Errorf("%d oracle violations at end, first: %v", len(v), v[0])
 	}
 	return opsAtFail, opsEnd, crashed

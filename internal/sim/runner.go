@@ -48,8 +48,8 @@ type Result struct {
 const preconditionValueBase = uint64(1) << 48
 
 // PreconditionHash returns the content the preconditioning fill writes at
-// lpn. External replay loops (e.g. the crash sweep) reuse it so their
-// fills stay bit-identical to Run's.
+// lpn. RunTenants and Checked.Precondition both fill with it, and the
+// lifetime harness reuses it, so every fill writes the same content.
 func PreconditionHash(lpn int64) trace.Hash {
 	return trace.HashOfValue(preconditionValueBase + uint64(lpn))
 }

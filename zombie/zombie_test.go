@@ -144,8 +144,8 @@ func TestExperimentsThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.String(), "CDF") {
-		t.Errorf("unexpected fig2 render: %q", res.String())
+	if out := res.Table().String(); !strings.Contains(out, "CDF") {
+		t.Errorf("unexpected fig2 render: %q", out)
 	}
 }
 
