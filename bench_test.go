@@ -389,36 +389,8 @@ func BenchmarkAblationAdaptiveCapacity(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	replay := func(pool core.Pool, ledger *core.Ledger) (hits int64) {
-		pages := make(map[uint64]struct {
-			h   trace.Hash
-			ppn ssd.PPN
-		})
-		next := ssd.PPN(0)
-		var tick int64
-		for _, r := range recs {
-			if r.Op != trace.OpWrite {
-				continue
-			}
-			tick++
-			ledger.Bump(r.Hash)
-			if old, ok := pages[r.LBA]; ok {
-				pool.Insert(old.h, old.ppn, tick)
-			}
-			if ppn, ok := pool.Lookup(r.Hash, tick); ok {
-				hits++
-				pages[r.LBA] = struct {
-					h   trace.Hash
-					ppn ssd.PPN
-				}{r.Hash, ppn}
-				continue
-			}
-			pages[r.LBA] = struct {
-				h   trace.Hash
-				ppn ssd.PPN
-			}{r.Hash, next}
-			next++
-		}
+	replay := func(pool core.Pool, ledger *core.Ledger) int64 {
+		_, hits := analysis.ReplayPool(recs, pool, ledger)
 		return hits
 	}
 	b.Run("fixed-small", func(b *testing.B) {
@@ -451,49 +423,17 @@ func BenchmarkAblationAdaptiveCapacity(b *testing.B) {
 // BenchmarkAblationBackgroundGC measures the p99 effect of the soft-
 // threshold background GC extension under bursty arrivals: with idle gaps
 // between bursts, background GC absorbs the reclamation work that would
-// otherwise stall a request at the hard threshold.
+// otherwise stall a request at the hard threshold. Each sub-benchmark runs
+// the registered ablation-bgc experiment and reports its own row.
 func BenchmarkAblationBackgroundGC(b *testing.B) {
-	// A bursty overwrite-heavy trace: bursts of back-to-back writes
-	// separated by long idle gaps.
-	var recs []trace.Record
-	now := int64(0)
-	v := uint64(0)
-	for burst := 0; burst < 1200; burst++ {
-		for i := 0; i < 50; i++ {
-			now += 20 // 20µs apart inside the burst
-			v++
-			// Cyclic overwrites turn whole blocks to garbage in order —
-			// the regime where idle-time erasure of dead blocks pays.
-			recs = append(recs, trace.Record{
-				Time: now,
-				Op:   trace.OpWrite,
-				LBA:  v % 9000,
-				Hash: trace.HashOfValue(v % 4000),
-			})
-		}
-		now += 60_000 // 60ms idle gap
-	}
-	const footprint = 9000
-	run := func(b *testing.B, soft int) {
-		cfg := sim.Config{
-			Geometry:     sim.GeometryFor(footprint, 0.85),
-			Latency:      ssd.PaperLatency(),
-			Store:        ftl.StoreConfig{GCFreeBlockThreshold: 2, SoftGCThreshold: soft},
-			LogicalPages: footprint,
-			Kind:         sim.KindBaseline,
-			PoolKind:     sim.PoolMQ,
-			MQ:           core.MQConfig{Queues: 8, Capacity: 1000, DefaultLifetime: 8192},
-		}
-		dev, err := sim.NewDevice(cfg)
+	run := func(b *testing.B, row int) {
+		res, err := experiments.RunAblationBGC(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.Run(dev, recs, sim.RunOptions{LogicalPages: footprint, PreconditionPages: footprint})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.All.P99), "p99µs")
-		b.ReportMetric(float64(res.Metrics.GC.Background), "bgCycles")
+		r := res.Rows[row]
+		b.ReportMetric(float64(r.P99), "p99µs")
+		b.ReportMetric(float64(r.BackgroundCycles), "bgCycles")
 	}
 	b.Run("foreground-only", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -502,7 +442,7 @@ func BenchmarkAblationBackgroundGC(b *testing.B) {
 	})
 	b.Run("background", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			run(b, 4)
+			run(b, 1)
 		}
 	})
 }

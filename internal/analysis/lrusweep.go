@@ -17,9 +17,9 @@ type LRUSweepPoint struct {
 	Hits     int64
 }
 
-// replayPool drives a dead-value pool with the write stream of recs (no SSD
+// ReplayPool drives a dead-value pool with the write stream of recs (no SSD
 // timing, as in Section III-A) and returns performed writes and pool hits.
-func replayPool(recs []trace.Record, pool core.Pool, ledger *core.Ledger) (writes, hits int64) {
+func ReplayPool(recs []trace.Record, pool core.Pool, ledger *core.Ledger) (writes, hits int64) {
 	pages := make(map[uint64]struct {
 		h   trace.Hash
 		ppn ssd.PPN
@@ -65,7 +65,7 @@ func LRUWriteSweep(recs []trace.Record, capacities []int) []LRUSweepPoint {
 		} else {
 			pool = core.NewLRUPool(c, ledger)
 		}
-		w, h := replayPool(recs, pool, ledger)
+		w, h := ReplayPool(recs, pool, ledger)
 		out = append(out, LRUSweepPoint{Capacity: c, Writes: w, Hits: h})
 	}
 	return out
@@ -83,7 +83,7 @@ func MQWriteSweep(recs []trace.Record, capacities []int, queues int) []LRUSweepP
 		} else {
 			pool = core.NewMQPool(core.MQConfig{Queues: queues, Capacity: c, DefaultLifetime: 8192}, ledger)
 		}
-		w, h := replayPool(recs, pool, ledger)
+		w, h := ReplayPool(recs, pool, ledger)
 		out = append(out, LRUSweepPoint{Capacity: c, Writes: w, Hits: h})
 	}
 	return out

@@ -105,11 +105,7 @@ func RunAblationGC(o Options) (*AblationGCResult, error) {
 	for i, w := range weights {
 		cfg := o.deviceConfig(sim.KindDVP, footprint, sim.PoolMQ, 200_000)
 		cfg.Store.PopularityWeight = w
-		dev, err := sim.NewDevice(cfg)
-		if err != nil {
-			return nil, err
-		}
-		run, err := sim.Run(dev, recs, sim.RunOptions{LogicalPages: footprint, PreconditionPages: footprint})
+		_, run, err := runDevice(cfg, recs, footprint)
 		if err != nil {
 			return nil, err
 		}
@@ -170,31 +166,7 @@ func RunAblationAdaptive(o Options) (*AblationAdaptiveResult, error) {
 	large := o.ScaleEntries(1_000_000)
 
 	replay := func(pool core.Pool, ledger *core.Ledger) int64 {
-		type pageCopy struct {
-			h   trace.Hash
-			ppn ssd.PPN
-		}
-		pages := make(map[uint64]pageCopy)
-		next := ssd.PPN(0)
-		var tick core.Tick
-		var hits int64
-		for _, r := range recs {
-			if r.Op != trace.OpWrite {
-				continue
-			}
-			tick++
-			ledger.Bump(r.Hash)
-			if old, ok := pages[r.LBA]; ok {
-				pool.Insert(old.h, old.ppn, tick)
-			}
-			if ppn, ok := pool.Lookup(r.Hash, tick); ok {
-				hits++
-				pages[r.LBA] = pageCopy{r.Hash, ppn}
-				continue
-			}
-			pages[r.LBA] = pageCopy{r.Hash, next}
-			next++
-		}
+		_, hits := analysis.ReplayPool(recs, pool, ledger)
 		return hits
 	}
 
@@ -296,11 +268,7 @@ func RunAblationBGC(o Options) (*AblationBGCResult, error) {
 			Scrub:        o.Scrub,
 			Health:       o.Health,
 		}
-		dev, err := sim.NewDevice(cfg)
-		if err != nil {
-			return nil, err
-		}
-		run, err := sim.Run(dev, recs, sim.RunOptions{LogicalPages: footprint, PreconditionPages: footprint})
+		_, run, err := runDevice(cfg, recs, footprint)
 		if err != nil {
 			return nil, err
 		}

@@ -66,14 +66,16 @@ type ChaosArm struct {
 	Violations int   // integrity-oracle failures across every check (must be 0)
 	LostPages  int64 // valid pages lost to uncorrectable reads (must be 0)
 
-	Survived   bool // reached the end of the trace without going dead
-	FinalState health.State
+	Survived bool // reached the end of the trace without going dead
 
-	RejectedWrites  int64 // writes shed in read-only or dead states
-	ThrottledWrites int64 // writes that paid the GC-debt throttle delay
-	Retries         int64 // host-layer retries of transient program faults
-	Relands         int64 // GC relocations re-landed after a block went bad
-	Retired         int64 // blocks retired as bad over the life
+	// Stats is the governor's account of the life: the final state,
+	// writes shed in read-only or dead states, writes that paid the
+	// GC-debt throttle delay and host-layer retries of transient program
+	// faults.
+	health.Stats
+	// Faults counts the store's fault activity, GC relocations re-landed
+	// after a block went bad and blocks retired as bad among it.
+	Faults fault.Stats
 
 	ReadP99 ssd.Time
 }
@@ -128,37 +130,26 @@ func chaosTenantRecs(o Options) ([]trace.Record, int64, error) {
 	return out, sim.TotalFootprint(traces), nil
 }
 
-// chaosLife is one device's chaotic life: precondition, then replay under
-// faults and decay with repeated crash→recover→continue cycles, the oracle
-// checked after every recovery and once more at the end.
-type chaosLife struct {
-	crashes         int
-	violations      int
-	opsPrecondition int64
-	opsTotal        int64
-	lost            int64
-	survived        bool
-	hstats          health.Stats
-	fstats          fault.Stats
-	readP99         ssd.Time
-}
-
-// runChaosLife replays the merged tenant trace on a fresh device. schedule
-// holds per-cycle op deltas: after preconditioning (and again after every
-// recovery) the power-loss trigger is re-armed that many flash ops ahead.
-// A nil schedule is the pilot: a crash-free life that charts the op window.
-func runChaosLife(cfg sim.Config, recs []trace.Record, footprint int64, schedule []int64) (chaosLife, error) {
-	out := chaosLife{survived: true}
+// runChaosLife replays the merged tenant trace on a fresh device:
+// precondition, then replay under faults and decay with repeated
+// crash→recover→continue cycles, the oracle checked after every recovery
+// and once more at the end. schedule holds per-cycle op deltas: after
+// preconditioning (and again after every recovery) the power-loss trigger
+// is re-armed that many flash ops ahead. A nil schedule is the pilot: a
+// crash-free life that charts the op window, the flash ops issued after
+// preconditioning, which is returned alongside the life's arm.
+func runChaosLife(cfg sim.Config, recs []trace.Record, footprint int64, schedule []int64) (ChaosArm, int64, error) {
+	out := ChaosArm{Survived: true}
 	cfg.Faults.CrashAtOp = 0
 	dev, c, err := checkedDevice(cfg, footprint)
 	if err != nil {
-		return out, err
+		return out, 0, err
 	}
 	store := sim.StoreOf(dev)
 	if store == nil {
-		return out, fmt.Errorf("experiments: device %T exposes no store", dev)
+		return out, 0, fmt.Errorf("experiments: device %T exposes no store", dev)
 	}
-	out.opsPrecondition = busOps(dev)
+	opsPrecondition := busOps(dev)
 
 	next := 0
 	if next < len(schedule) {
@@ -176,11 +167,11 @@ replay:
 				lats = append(lats, done-c.Shift-ssd.Time(rec.Time))
 			}
 		case errors.Is(err, fault.ErrPowerLoss):
-			out.crashes++
+			out.Crashes++
 			if _, err := c.Recover(err, sim.RecoverOptions{}); err != nil {
-				return out, fmt.Errorf("experiments: chaos recovery after crash %d: %w", out.crashes, err)
+				return out, 0, fmt.Errorf("experiments: chaos recovery after crash %d: %w", out.Crashes, err)
 			}
-			out.violations += len(c.Verify())
+			out.Violations += len(c.Verify())
 			if next < len(schedule) {
 				store.ArmCrash(schedule[next])
 				next++
@@ -188,24 +179,24 @@ replay:
 		case errors.Is(err, health.ErrDeviceDead):
 			// The drive is gone: stop submitting; the final oracle check
 			// still runs against whatever flash state remains.
-			out.survived = false
+			out.Survived = false
 			break replay
 		case rec.Op == trace.OpWrite && errors.Is(err, health.ErrReadOnly):
 			// Shed write on a degraded drive. It was never acknowledged, so
 			// the oracle expects nothing from it.
 		default:
-			return out, fmt.Errorf("experiments: chaos record %d: %w", i, err)
+			return out, 0, fmt.Errorf("experiments: chaos record %d: %w", i, err)
 		}
 	}
-	out.opsTotal = busOps(dev)
-	out.violations += len(c.Verify())
-	out.lost = store.LostPages()
-	out.fstats = store.FaultStats()
+	window := busOps(dev) - opsPrecondition
+	out.Violations += len(c.Verify())
+	out.LostPages = store.LostPages()
+	out.Faults = store.FaultStats()
 	if hd, ok := dev.(interface{ HealthStats() health.Stats }); ok {
-		out.hstats = hd.HealthStats()
+		out.Stats = hd.HealthStats()
 	}
-	out.readP99 = timeP99(lats)
-	return out, nil
+	out.ReadP99 = timeP99(lats)
+	return out, window, nil
 }
 
 // RunChaossweep soaks all five architectures in seeded chaos: the
@@ -243,16 +234,19 @@ func RunChaossweep(o Options) (*ChaossweepResult, error) {
 			archs[i].cfg.Scrub = defaultPatrol(archs[i].cfg.Geometry)
 		}
 	}
-
-	// Arms are independent lives; results are keyed by arm index, so the
-	// output is byte-identical for every worker count.
-	arms := make([]ChaosArm, len(archs))
-	errs := parallelCells(len(archs), small.Jobs, func(i int) error {
-		var err error
-		arms[i], err = runChaosArm(small, archs[i].name, archs[i].cfg, recs, footprint, cycles, i)
-		return err
+	// Each arm seeds its crash schedule by its index.
+	type chaosCell struct {
+		arm
+		index int
+	}
+	cells := make([]chaosCell, len(archs))
+	for i, a := range archs {
+		cells[i] = chaosCell{a, i}
+	}
+	arms, err := runCells(cells, small.Jobs, func(c chaosCell) (ChaosArm, error) {
+		return runChaosArm(small, c.arm, recs, footprint, cycles, c.index)
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &ChaossweepResult{
@@ -272,19 +266,18 @@ func RunChaossweep(o Options) (*ChaossweepResult, error) {
 // that issue fewer flash ops than the pilot (a crashed write-back buffer
 // legitimately drops its unflushed pages, shrinking the buffered arm's op
 // count each cycle).
-func runChaosArm(o Options, name string, cfg sim.Config, recs []trace.Record, footprint int64, cycles, armIndex int) (ChaosArm, error) {
-	pilot, err := runChaosLife(cfg, recs, footprint, nil)
+func runChaosArm(o Options, a arm, recs []trace.Record, footprint int64, cycles, armIndex int) (ChaosArm, error) {
+	pilot, window, err := runChaosLife(a.cfg, recs, footprint, nil)
 	if err != nil {
-		return ChaosArm{}, fmt.Errorf("experiments: chaossweep pilot %s: %w", name, err)
+		return ChaosArm{}, fmt.Errorf("experiments: chaossweep pilot %s: %w", a.name, err)
 	}
-	if pilot.violations > 0 {
+	if pilot.Violations > 0 {
 		return ChaosArm{}, fmt.Errorf("experiments: chaossweep pilot %s: %d oracle violations without a crash",
-			name, pilot.violations)
+			a.name, pilot.Violations)
 	}
-	window := pilot.opsTotal - pilot.opsPrecondition
 	if window <= int64(2*cycles) {
 		return ChaosArm{}, fmt.Errorf("experiments: chaossweep pilot %s: op window %d too small for %d cycles",
-			name, window, cycles)
+			a.name, window, cycles)
 	}
 	base := window / int64(2*cycles+1)
 	state := uint64(o.ChaosSeed)*0x9E3779B97F4A7C15 + uint64(armIndex+1)
@@ -295,25 +288,12 @@ func runChaosArm(o Options, name string, cfg sim.Config, recs []trace.Record, fo
 			schedule[j] = 1
 		}
 	}
-	life, err := runChaosLife(cfg, recs, footprint, schedule)
+	life, _, err := runChaosLife(a.cfg, recs, footprint, schedule)
 	if err != nil {
-		return ChaosArm{}, fmt.Errorf("experiments: chaossweep %s: %w", name, err)
+		return ChaosArm{}, fmt.Errorf("experiments: chaossweep %s: %w", a.name, err)
 	}
-	return ChaosArm{
-		Arch:            name,
-		Cycles:          cycles,
-		Crashes:         life.crashes,
-		Violations:      life.violations,
-		LostPages:       life.lost,
-		Survived:        life.survived,
-		FinalState:      life.hstats.State,
-		RejectedWrites:  life.hstats.RejectedWrites,
-		ThrottledWrites: life.hstats.ThrottledWrites,
-		Retries:         life.hstats.Retries,
-		Relands:         life.fstats.GCRelands,
-		Retired:         life.fstats.RetiredBlocks,
-		ReadP99:         life.readP99,
-	}, nil
+	life.Arch, life.Cycles = a.name, cycles
+	return life, nil
 }
 
 // Table renders the soak.
@@ -331,12 +311,12 @@ func (r *ChaossweepResult) Table() Table {
 			fmt.Sprintf("%d", a.Violations),
 			fmt.Sprintf("%d", a.LostPages),
 			survived,
-			a.FinalState.String(),
+			a.State.String(),
 			fmt.Sprintf("%d", a.RejectedWrites),
 			fmt.Sprintf("%d", a.ThrottledWrites),
 			fmt.Sprintf("%d", a.Retries),
-			fmt.Sprintf("%d", a.Relands),
-			fmt.Sprintf("%d", a.Retired),
+			fmt.Sprintf("%d", a.Faults.GCRelands),
+			fmt.Sprintf("%d", a.Faults.RetiredBlocks),
 			fmt.Sprintf("%.2f", float64(a.ReadP99)/float64(ssd.Millisecond)),
 		})
 	}

@@ -46,7 +46,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Errorf("%s: %d valid pages lost", a.Arch, a.LostPages)
 		}
 		if !a.Survived {
-			t.Errorf("%s: drive went dead mid-soak (final state %v)", a.Arch, a.FinalState)
+			t.Errorf("%s: drive went dead mid-soak (final state %v)", a.Arch, a.State)
 		}
 		total += a.Crashes
 	}

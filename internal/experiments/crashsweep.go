@@ -155,16 +155,10 @@ func splitmix64(state *uint64) uint64 {
 }
 
 // crashArchConfigs assembles the five swept architectures.
-func crashArchConfigs(o Options, footprint int64) []struct {
-	name string
-	cfg  sim.Config
-} {
+func crashArchConfigs(o Options, footprint int64) []arm {
 	buffered := o.deviceConfig(sim.KindDVP, footprint, sim.PoolMQ, 200_000)
 	buffered.WriteBufferPages = crashWriteBufferPages
-	return []struct {
-		name string
-		cfg  sim.Config
-	}{
+	return []arm{
 		{"baseline", o.deviceConfig(sim.KindBaseline, footprint, sim.PoolMQ, 200_000)},
 		{"buffered", buffered},
 		{"dvp+dedup", o.deviceConfig(sim.KindDVPDedup, footprint, sim.PoolMQ, 200_000)},
@@ -200,76 +194,64 @@ func RunCrashsweep(o Options) (*CrashsweepResult, error) {
 	// One pilot per architecture charts its op count; crash points land
 	// uniformly in (precondition, end] — mid-write, mid-GC-relocation or
 	// mid-erase, wherever the op index falls.
-	type armSpec struct {
-		arch   string
-		cfg    sim.Config
-		cold   bool
-		points []int64
-	}
-	pilots := make([]crashPointResult, len(archs))
-	errs := parallelCells(len(archs), small.Jobs, func(i int) error {
-		name := archs[i].name
-		pilot, err := runCrashPoint(archs[i].cfg, recs, footprint, 0, false)
+	pilots, err := runCells(archs, small.Jobs, func(a arm) (crashPointResult, error) {
+		pilot, err := runCrashPoint(a.cfg, recs, footprint, 0, false)
 		switch {
 		case err != nil:
-			return fmt.Errorf("experiments: crashsweep pilot %s: %w", name, err)
+			return pilot, fmt.Errorf("experiments: crashsweep pilot %s: %w", a.name, err)
 		case pilot.violations > 0:
-			return fmt.Errorf("experiments: crashsweep pilot %s: %d oracle violations without a crash",
-				name, pilot.violations)
+			return pilot, fmt.Errorf("experiments: crashsweep pilot %s: %d oracle violations without a crash",
+				a.name, pilot.violations)
 		case pilot.opsTotal <= pilot.opsPrecondition:
-			return fmt.Errorf("experiments: crashsweep pilot %s issued no flash ops after preconditioning", name)
+			return pilot, fmt.Errorf("experiments: crashsweep pilot %s issued no flash ops after preconditioning", a.name)
 		}
-		pilots[i] = pilot
-		return nil
+		return pilot, nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	var arms []armSpec
+
+	// Every (arm, point) cell is an independent simulation; an arm's cells
+	// are contiguous, points in schedule order.
+	type crashCell struct {
+		arm
+		at   int64
+		cold bool
+	}
+	var cells []crashCell
+	out := &CrashsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.CrashSeed}
 	for i, a := range archs {
-		pilot := pilots[i]
-		window := pilot.opsTotal - pilot.opsPrecondition
+		window := pilots[i].opsTotal - pilots[i].opsPrecondition
 		state := uint64(small.CrashSeed)*0x9E3779B97F4A7C15 + uint64(i+1)
 		ks := make([]int64, points)
 		for j := range ks {
-			ks[j] = pilot.opsPrecondition + 1 + int64(splitmix64(&state)%uint64(window))
+			ks[j] = pilots[i].opsPrecondition + 1 + int64(splitmix64(&state)%uint64(window))
 		}
-		arms = append(arms, armSpec{arch: a.name, cfg: a.cfg, points: ks})
-		if a.cfg.Kind == sim.KindDVP && a.cfg.WriteBufferPages == 0 {
-			arms = append(arms, armSpec{arch: a.name, cfg: a.cfg, cold: true, points: ks})
-		}
-	}
-
-	// Every (arm, point) cell is an independent simulation.
-	type cellKey struct{ arm, point int }
-	var cells []cellKey
-	results := make([][]crashPointResult, len(arms))
-	for ai, arm := range arms {
-		results[ai] = make([]crashPointResult, len(arm.points))
-		for pi := range arm.points {
-			cells = append(cells, cellKey{ai, pi})
+		for _, cold := range []bool{false, true} {
+			if cold && (a.cfg.Kind != sim.KindDVP || a.cfg.WriteBufferPages != 0) {
+				continue
+			}
+			out.Arms = append(out.Arms, CrashArm{Arch: a.name, ColdPool: cold, Points: points})
+			for _, k := range ks {
+				cells = append(cells, crashCell{a, k, cold})
+			}
 		}
 	}
-	errs = parallelCells(len(cells), small.Jobs, func(i int) error {
-		c := cells[i]
-		arm := arms[c.arm]
-		k := arm.points[c.point]
-		var err error
-		if results[c.arm][c.point], err = runCrashPoint(arm.cfg, recs, footprint, k, arm.cold); err != nil {
-			return fmt.Errorf("experiments: crashsweep %s op %d: %w", arm.arch, k, err)
+	results, err := runCells(cells, small.Jobs, func(c crashCell) (crashPointResult, error) {
+		r, err := runCrashPoint(c.cfg, recs, footprint, c.at, c.cold)
+		if err != nil {
+			return r, fmt.Errorf("experiments: crashsweep %s op %d: %w", c.name, c.at, err)
 		}
-		return nil
+		return r, nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
-	out := &CrashsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.CrashSeed}
-	for ai, arm := range arms {
-		agg := CrashArm{Arch: arm.arch, ColdPool: arm.cold, Points: len(arm.points)}
+	for ai := range out.Arms {
+		agg := &out.Arms[ai]
 		var preSum, postSum float64
-		for pi := range arm.points {
-			r := results[ai][pi]
+		for _, r := range results[ai*points : (ai+1)*points] {
 			if r.crashed {
 				agg.Crashed++
 			}
@@ -282,16 +264,14 @@ func RunCrashsweep(o Options) (*CrashsweepResult, error) {
 			preSum += r.preHR
 			postSum += r.postHR
 		}
-		if n := float64(len(arm.points)); n > 0 {
-			agg.MeanScanPages /= n
-			agg.MeanWinners /= n
-			agg.MeanGarbage /= n
-			agg.MeanReplayed /= n
-			agg.MeanPreHitRate = preSum / n
-			agg.MeanPostHitRate = postSum / n
-		}
+		n := float64(points)
+		agg.MeanScanPages /= n
+		agg.MeanWinners /= n
+		agg.MeanGarbage /= n
+		agg.MeanReplayed /= n
+		agg.MeanPreHitRate = preSum / n
+		agg.MeanPostHitRate = postSum / n
 		agg.MeanScanTime = recovery.Report{PagesScanned: int64(agg.MeanScanPages)}.ScanCost(ssd.PaperLatency().Read)
-		out.Arms = append(out.Arms, agg)
 	}
 	return out, nil
 }

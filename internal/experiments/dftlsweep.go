@@ -44,29 +44,28 @@ type DftlArm struct {
 	Arch   string
 	Frames int // CMT frames resident in RAM; 0 = DFTL off (in-RAM map)
 
-	HitRate     float64 // CMT hit fraction over MapRead+MapWrite demand
-	Misses      int64
-	Writebacks  int64 // dirty frames written back on eviction
-	BatchFolded int64 // write-backs absorbed by batched translation-GC moves
-
-	TransPrograms int64 // translation-page flash programs
-	TransGCRuns   int64 // translation-block GC cycles
-	TransErased   int64 // translation blocks erased
-	DataGCRuns    int64 // data-block GC cycles (total − translation)
-	DataErased    int64 // data blocks erased
-
-	Revived  int64 // zombie revivals (the DVP hit value under DFTL)
-	Programs int64 // total flash programs, translation included
-	WA       float64
+	// DeviceMetrics is the replay's activity, preconditioning excluded:
+	// Dftl counts CMT misses, dirty write-backs, batch-folded write-backs
+	// and the translation stream's programs, GC runs and erases; Revived
+	// is the DVP hit value under DFTL.
+	sim.DeviceMetrics
 }
+
+// DataGCRuns returns the data-block GC cycles: all runs less the
+// translation stream's.
+func (a DftlArm) DataGCRuns() int64 { return a.GC.Runs - a.Dftl.TransGCRuns }
+
+// DataErased returns the data blocks erased: all erases less the
+// translation blocks'.
+func (a DftlArm) DataErased() int64 { return a.FlashErases - a.Dftl.TransErased }
 
 // MapShare returns translation programs per flash program — the fraction
 // of the drive's write bandwidth the flash-resident map consumes.
 func (a DftlArm) MapShare() float64 {
-	if a.Programs == 0 {
+	if a.FlashPrograms == 0 {
 		return 0
 	}
-	return float64(a.TransPrograms) / float64(a.Programs)
+	return float64(a.Dftl.TransPrograms) / float64(a.FlashPrograms)
 }
 
 // DftlsweepResult is the rendered outcome of RunDftlsweep.
@@ -81,28 +80,23 @@ type DftlsweepResult struct {
 // flash-resident mapping against the device's own table at the end: every
 // logical page must resolve through CMT + translation pages to exactly
 // the binding the mapper holds.
-func runDftlCell(cfg sim.Config, recs []trace.Record, footprint int64) (sim.Result, error) {
-	dev, err := sim.NewDevice(cfg)
+func runDftlCell(a arm, recs []trace.Record, footprint int64) (DftlArm, error) {
+	out := DftlArm{Arch: a.name, Frames: a.cfg.DFTL.CMTFrames}
+	dev, res, err := runDevice(a.cfg, recs, footprint)
 	if err != nil {
-		return sim.Result{}, err
+		return out, err
 	}
-	res, err := sim.Run(dev, recs, sim.RunOptions{
-		LogicalPages:      footprint,
-		PreconditionPages: footprint,
-	})
-	if err != nil {
-		return res, err
-	}
+	out.DeviceMetrics = res.Metrics
 	store := sim.StoreOf(dev)
 	if store == nil {
-		return res, fmt.Errorf("experiments: device %T exposes no store", dev)
+		return out, fmt.Errorf("experiments: device %T exposes no store", dev)
 	}
 	if store.DftlEnabled() {
 		if err := store.CheckDftl(store.LookupOf, footprint); err != nil {
-			return res, fmt.Errorf("experiments: flash-resident mapping diverged: %w", err)
+			return out, fmt.Errorf("experiments: flash-resident mapping diverged: %w", err)
 		}
 	}
-	return res, nil
+	return out, nil
 }
 
 // RunDftlsweep replays the mail workload on all five architectures with
@@ -123,59 +117,28 @@ func RunDftlsweep(o Options) (*DftlsweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	archs := crashArchConfigs(small, footprint)
-
-	type armSpec struct {
-		arch   string
-		frames int
-		cfg    sim.Config
-	}
-	var arms []armSpec
-	for _, a := range archs {
+	var arms []arm
+	for _, a := range crashArchConfigs(small, footprint) {
 		for _, frames := range dftlSweepFrames(footprint, a.cfg.Geometry.PageSize) {
-			cfg := a.cfg
+			c := a
+			c.cfg.DFTL = dftl.Config{}
 			if frames > 0 {
-				cfg.DFTL = dftl.Config{Enable: true, CMTFrames: frames, BatchEvict: true}
-			} else {
-				cfg.DFTL = dftl.Config{}
+				c.cfg.DFTL = dftl.Config{Enable: true, CMTFrames: frames, BatchEvict: true}
 			}
-			arms = append(arms, armSpec{arch: a.name, frames: frames, cfg: cfg})
+			arms = append(arms, c)
 		}
 	}
-
-	results := make([]sim.Result, len(arms))
-	errs := parallelCells(len(arms), small.Jobs, func(i int) error {
-		var err error
-		if results[i], err = runDftlCell(arms[i].cfg, recs, footprint); err != nil {
-			return fmt.Errorf("experiments: dftlsweep %s/frames=%d: %w", arms[i].arch, arms[i].frames, err)
+	out, err := runCells(arms, small.Jobs, func(a arm) (DftlArm, error) {
+		r, err := runDftlCell(a, recs, footprint)
+		if err != nil {
+			return r, fmt.Errorf("experiments: dftlsweep %s/frames=%d: %w", a.name, r.Frames, err)
 		}
-		return nil
+		return r, nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-
-	out := &DftlsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.Seed}
-	for i, arm := range arms {
-		m := results[i].Metrics
-		out.Arms = append(out.Arms, DftlArm{
-			Arch:          arm.arch,
-			Frames:        arm.frames,
-			HitRate:       m.Dftl.HitRate(),
-			Misses:        m.Dftl.Misses,
-			Writebacks:    m.Dftl.Writebacks,
-			BatchFolded:   m.Dftl.BatchFolded,
-			TransPrograms: m.Dftl.TransPrograms,
-			TransGCRuns:   m.Dftl.TransGCRuns,
-			TransErased:   m.Dftl.TransErased,
-			DataGCRuns:    m.GC.Runs - m.Dftl.TransGCRuns,
-			DataErased:    m.FlashErases - m.Dftl.TransErased,
-			Revived:       m.Revived,
-			Programs:      m.FlashPrograms,
-			WA:            m.WriteAmplification(),
-		})
-	}
-	return out, nil
+	return &DftlsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.Seed, Arms: out}, nil
 }
 
 // Table renders the sweep; frames-0 rows are the in-RAM mapping control.
@@ -185,17 +148,17 @@ func (r *DftlsweepResult) Table() Table {
 		frames, hit, share := "off", "-", "-"
 		if a.Frames > 0 {
 			frames = fmt.Sprintf("%d", a.Frames)
-			hit = pct(a.HitRate * 100)
+			hit = pct(a.Dftl.HitRate() * 100)
 			share = pct(a.MapShare() * 100)
 		}
 		rows = append(rows, []string{
 			a.Arch, frames, hit,
-			fmt.Sprintf("%d", a.Writebacks),
-			fmt.Sprintf("%d", a.TransPrograms),
-			fmt.Sprintf("%d/%d", a.TransGCRuns, a.DataGCRuns),
-			fmt.Sprintf("%d/%d", a.TransErased, a.DataErased),
+			fmt.Sprintf("%d", a.Dftl.Writebacks),
+			fmt.Sprintf("%d", a.Dftl.TransPrograms),
+			fmt.Sprintf("%d/%d", a.Dftl.TransGCRuns, a.DataGCRuns()),
+			fmt.Sprintf("%d/%d", a.Dftl.TransErased, a.DataErased()),
 			fmt.Sprintf("%d", a.Revived),
-			fmt.Sprintf("%.2f", a.WA),
+			fmt.Sprintf("%.2f", a.WriteAmplification()),
 			share,
 		})
 	}

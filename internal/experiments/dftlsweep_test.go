@@ -40,27 +40,27 @@ func TestDftlsweepAttribution(t *testing.T) {
 		if off.Frames != 0 || small.Frames == 0 || large.Frames <= small.Frames {
 			t.Fatalf("%s: CMT ladder %d/%d/%d is not off < small < large", arch, off.Frames, small.Frames, large.Frames)
 		}
-		if off.TransPrograms != 0 || off.Misses != 0 || off.TransGCRuns != 0 {
+		if off.Dftl.TransPrograms != 0 || off.Dftl.Misses != 0 || off.Dftl.TransGCRuns != 0 {
 			t.Errorf("%s control: in-RAM arm reports DFTL traffic: %+v", arch, off)
 		}
-		if small.Misses == 0 || small.Writebacks == 0 || small.TransPrograms == 0 {
+		if small.Dftl.Misses == 0 || small.Dftl.Writebacks == 0 || small.Dftl.TransPrograms == 0 {
 			t.Errorf("%s small-CMT: no mapping flash traffic: %+v", arch, small)
 		}
-		if small.TransGCRuns == 0 || small.TransErased == 0 {
+		if small.Dftl.TransGCRuns == 0 || small.Dftl.TransErased == 0 {
 			t.Errorf("%s small-CMT: translation stream never needed GC: %+v", arch, small)
 		}
-		if small.DataGCRuns < 0 || small.DataErased < 0 {
+		if small.DataGCRuns() < 0 || small.DataErased() < 0 {
 			t.Errorf("%s small-CMT: negative data-GC attribution: %+v", arch, small)
 		}
-		if large.HitRate <= small.HitRate {
-			t.Errorf("%s: large-CMT hit rate %.3f not above small-CMT's %.3f", arch, large.HitRate, small.HitRate)
+		if large.Dftl.HitRate() <= small.Dftl.HitRate() {
+			t.Errorf("%s: large-CMT hit rate %.3f not above small-CMT's %.3f", arch, large.Dftl.HitRate(), small.Dftl.HitRate())
 		}
-		if large.TransPrograms >= small.TransPrograms {
+		if large.Dftl.TransPrograms >= small.Dftl.TransPrograms {
 			t.Errorf("%s: large CMT programmed %d translation pages, small CMT %d — a bigger cache must write less",
-				arch, large.TransPrograms, small.TransPrograms)
+				arch, large.Dftl.TransPrograms, small.Dftl.TransPrograms)
 		}
-		if small.WA < off.WA {
-			t.Errorf("%s: small-CMT WA %.2f below the in-RAM control's %.2f — the map tax vanished", arch, small.WA, off.WA)
+		if small.WriteAmplification() < off.WriteAmplification() {
+			t.Errorf("%s: small-CMT WA %.2f below the in-RAM control's %.2f — the map tax vanished", arch, small.WriteAmplification(), off.WriteAmplification())
 		}
 	}
 	// The revived counter is the DVP hit value; it must survive the map tax

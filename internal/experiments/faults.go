@@ -52,13 +52,8 @@ func RunAblationFaults(o Options) (*AblationFaultsResult, error) {
 		run := func(kind sim.Kind) (sim.Result, error) {
 			cfg := o.deviceConfig(kind, footprint, sim.PoolMQ, 200_000)
 			cfg.Faults = plan
-			dev, err := sim.NewDevice(cfg)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			return sim.Run(dev, recs, sim.RunOptions{
-				LogicalPages: footprint, PreconditionPages: footprint,
-			})
+			_, res, err := runDevice(cfg, recs, footprint)
+			return res, err
 		}
 		base, err := run(sim.KindBaseline)
 		if err != nil {

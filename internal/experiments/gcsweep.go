@@ -126,12 +126,10 @@ type GCCell struct {
 	GCBlockedUS    int64
 	GCBlockedShare float64
 
-	// GC machinery counters for the cell.
-	Runs           int64 // victim cycles started (foreground + background + drains)
-	Relocated      int64 // valid pages migrated
-	PartialWindows int64 // idle windows that advanced a drain
-	PartialPages   int64 // pages migrated inside those windows
-	Suspensions    int64 // host reads that preempted an in-flight GC op
+	// DeviceMetrics is the replay's activity, preconditioning excluded:
+	// GC counts victim cycles, relocations and partial drains;
+	// Suspensions the host reads that preempted an in-flight GC op.
+	sim.DeviceMetrics
 }
 
 // GCTenantCell is one antagonist-arm cell: the victim/antagonist pair
@@ -151,13 +149,6 @@ type GCsweepResult struct {
 	Antag    []GCTenantCell
 }
 
-// gcCellTelemetry builds the per-cell observability instance: registry and
-// attribution live, tracer off (the sweep only reads histograms and phase
-// sums, and cells are many).
-func gcCellTelemetry() *telemetry.Telemetry {
-	return telemetry.New(telemetry.Config{Enabled: true, TraceCap: -1})
-}
-
 // RunGCsweep crosses the four GC policies with the five architectures on
 // the mail workload, plus the antagonist pair under the bracketing
 // policies. Cells are independent simulations spread across Options.Jobs
@@ -174,44 +165,35 @@ func RunGCsweep(o Options) (*GCsweepResult, error) {
 		return nil, err
 	}
 	arms := gcPolicyArms(o.GCPreempt)
-
-	type cellSpec struct {
-		arch string
-		kind sim.Kind
-		arm  GCPolicyArm
-	}
-	var cells []cellSpec
-	for _, a := range tenantArchKinds {
-		for _, arm := range arms {
-			cells = append(cells, cellSpec{arch: a.name, kind: a.kind, arm: arm})
-		}
-	}
-	// Antagonist arm: the bracketing policies only — the question is
-	// whether preemption restores isolation, not the full policy ladder.
-	antagArms := []GCPolicyArm{arms[0], arms[len(arms)-1]}
-
-	configFor := func(kind sim.Kind, arm GCPolicyArm, fp int64) sim.Config {
+	configFor := func(kind sim.Kind, p GCPolicyArm, fp int64) sim.Config {
 		cfg := small.deviceConfig(kind, fp, sim.PoolMQ, 200_000)
 		cfg.Geometry = gcSweepGeometry(fp)
-		cfg.Store.SoftGCThreshold = arm.Soft
-		cfg.Store.Preempt = arm.Preempt
+		cfg.Store.SoftGCThreshold = p.Soft
+		cfg.Store.Preempt = p.Preempt
 		return cfg
 	}
 
-	runCell := func(c cellSpec) (GCCell, error) {
-		cfg := configFor(c.kind, c.arm, footprint)
-		tel := gcCellTelemetry()
-		cfg.Telemetry = tel
-		dev, err := sim.NewDevice(cfg)
-		if err != nil {
-			return GCCell{}, err
+	type gcCell struct {
+		arch   string
+		kind   sim.Kind
+		policy GCPolicyArm
+	}
+	var cells []gcCell
+	for _, a := range tenantArchKinds {
+		for _, p := range arms {
+			cells = append(cells, gcCell{a.name, a.kind, p})
 		}
-		res, err := sim.Run(dev, recs, sim.RunOptions{
-			LogicalPages:      footprint,
-			PreconditionPages: footprint,
-		})
+	}
+	out := &GCsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.Seed}
+	out.Cells, err = runCells(cells, o.Jobs, func(c gcCell) (GCCell, error) {
+		// Registry and attribution live, tracer off: the sweep only reads
+		// histograms and phase sums, and cells are many.
+		tel := telemetry.New(telemetry.Config{Enabled: true, TraceCap: -1})
+		cfg := configFor(c.kind, c.policy, footprint)
+		cfg.Telemetry = tel
+		_, res, err := runDevice(cfg, recs, footprint)
 		if err != nil {
-			return GCCell{}, err
+			return GCCell{}, fmt.Errorf("experiments: gcsweep %s/%s: %w", c.arch, c.policy.Name, err)
 		}
 		attr := tel.Attribution()
 		phases, latSum := attr.Totals()
@@ -223,74 +205,34 @@ func RunGCsweep(o Options) (*GCsweepResult, error) {
 		reads := attr.E2E(telemetry.ReqRead)
 		return GCCell{
 			Arch:           c.arch,
-			Policy:         c.arm.Name,
+			Policy:         c.policy.Name,
 			ReadP99:        reads.P99(),
 			ReadP999:       reads.Quantile(0.999),
 			GCBlockedUS:    blocked,
 			GCBlockedShare: share,
-			Runs:           res.Metrics.GC.Runs,
-			Relocated:      res.Metrics.GC.Relocated,
-			PartialWindows: res.Metrics.GC.PartialWindows,
-			PartialPages:   res.Metrics.GC.PartialPages,
-			Suspensions:    res.Metrics.Suspensions,
+			DeviceMetrics:  res.Metrics,
 		}, nil
-	}
-
-	runAntag := func(arm GCPolicyArm) (GCTenantCell, error) {
-		traces, err := sim.GenerateTenants(antagonistSet(), small.Requests, small.Seed)
-		if err != nil {
-			return GCTenantCell{}, err
-		}
-		fp := sim.TotalFootprint(traces)
-		cfg := configFor(sim.KindDVP, arm, fp)
-		dev, err := sim.NewDevice(cfg)
-		if err != nil {
-			return GCTenantCell{}, err
-		}
-		mr, err := sim.RunTenants(dev, traces, sim.EngineOptions{
-			Arbiter:           sim.ArbFIFO,
-			QueueDepth:        DefaultTenantQueueDepth,
-			DeviceSlots:       DefaultTenantQueueDepth,
-			PreconditionPages: fp,
-			LogicalPages:      fp,
-		})
-		if err != nil {
-			return GCTenantCell{}, err
-		}
-		return GCTenantCell{Policy: arm.Name, Tenants: mr.Tenants}, nil
-	}
-
-	// One pool over both sweeps: the policy cells first, then the
-	// antagonist arms.
-	results := make([]GCCell, len(cells))
-	antagResults := make([]GCTenantCell, len(antagArms))
-	errs := parallelCells(len(cells)+len(antagArms), o.Jobs, func(i int) error {
-		var err error
-		if i < len(cells) {
-			if results[i], err = runCell(cells[i]); err != nil {
-				return fmt.Errorf("experiments: gcsweep %s/%s: %w", cells[i].arch, cells[i].arm.Name, err)
-			}
-			return nil
-		}
-		i -= len(cells)
-		if antagResults[i], err = runAntag(antagArms[i]); err != nil {
-			return fmt.Errorf("experiments: gcsweep antag/%s: %w", antagArms[i].Name, err)
-		}
-		return nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-
-	out := &GCsweepResult{
-		Workload: workloadName,
-		Requests: small.Requests,
-		Seed:     small.Seed,
-		Cells:    results,
-		Antag:    antagResults,
+	// Antagonist arm: the bracketing policies only — the question is
+	// whether preemption restores isolation, not the full policy ladder.
+	antagArms := []GCPolicyArm{arms[0], arms[len(arms)-1]}
+	out.Antag, err = runCells(antagArms, o.Jobs, func(p GCPolicyArm) (GCTenantCell, error) {
+		tenants, err := runTenantCell(antagonistSet(), small.Requests, small.Seed,
+			func(fp int64) sim.Config { return configFor(sim.KindDVP, p, fp) },
+			sim.ArbFIFO, DefaultTenantQueueDepth)
+		if err != nil {
+			return GCTenantCell{}, fmt.Errorf("experiments: gcsweep antag/%s: %w", p.Name, err)
+		}
+		return GCTenantCell{Policy: p.Name, Tenants: tenants}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, arm := range arms {
-		out.Policies = append(out.Policies, arm.Name)
+	for _, p := range arms {
+		out.Policies = append(out.Policies, p.Name)
 	}
 	return out, nil
 }
@@ -311,8 +253,8 @@ func (r *GCsweepResult) Table() Table {
 			fmt.Sprintf("%dµs", c.ReadP999),
 			fmt.Sprintf("%dµs", c.GCBlockedUS),
 			pct(100 * c.GCBlockedShare),
-			i64(c.Runs), i64(c.Relocated),
-			i64(c.PartialWindows), i64(c.PartialPages), i64(c.Suspensions),
+			i64(c.GC.Runs), i64(c.GC.Relocated),
+			i64(c.GC.PartialWindows), i64(c.GC.PartialPages), i64(c.Suspensions),
 		})
 	}
 	for _, a := range r.Antag {

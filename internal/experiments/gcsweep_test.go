@@ -113,21 +113,21 @@ func TestGCsweepSmoke(t *testing.T) {
 			t.Errorf("cell %s/%s has a broken read tail: p99=%d p99.9=%d",
 				c.Arch, c.Policy, c.ReadP99, c.ReadP999)
 		}
-		gcRuns += c.Runs
+		gcRuns += c.GC.Runs
 		switch c.Policy {
 		case "blocking", "soft":
-			if c.PartialWindows != 0 || c.PartialPages != 0 || c.Suspensions != 0 {
+			if c.GC.PartialWindows != 0 || c.GC.PartialPages != 0 || c.Suspensions != 0 {
 				t.Errorf("cell %s/%s ran preemption machinery: %+v", c.Arch, c.Policy, c)
 			}
 		case "partial":
 			if c.Suspensions != 0 {
 				t.Errorf("cell %s/partial suspended %d times with suspension off", c.Arch, c.Suspensions)
 			}
-			partialWindows += c.PartialWindows
-			partialPages += c.PartialPages
+			partialWindows += c.GC.PartialWindows
+			partialPages += c.GC.PartialPages
 		case "partial+susp":
-			partialWindows += c.PartialWindows
-			partialPages += c.PartialPages
+			partialWindows += c.GC.PartialWindows
+			partialPages += c.GC.PartialPages
 		}
 	}
 	if gcRuns == 0 {

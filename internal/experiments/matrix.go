@@ -75,18 +75,8 @@ func matrixError(cells []CellError) error {
 	return &MatrixError{Cells: cells}
 }
 
-// knownSystem reports whether sys is a registered matrix configuration.
-func knownSystem(sys System) bool {
-	for _, s := range AllSystems() {
-		if s == sys {
-			return true
-		}
-	}
-	return false
-}
-
-// cellsSimulated counts the matrix cells that reached sim.Run, so tests can
-// assert that workers stop simulating once an error is recorded.
+// cellsSimulated counts the matrix cells that started simulating, so tests
+// can assert that workers stop simulating once an error is recorded.
 var cellsSimulated atomic.Int64
 
 // System names the full-simulation configurations of Section V-A. Pool
@@ -137,38 +127,21 @@ func (m *Matrix) TelemetryFor(workload string, sys System) *telemetry.Telemetry 
 	return m.Telemetry[workload][sys]
 }
 
-// buildDevice constructs the device for one system over one footprint,
-// along with the cell's telemetry instance (nil when Options.Telemetry is
-// disabled).
-func (o Options) buildDevice(sys System, footprint int64) (sim.Device, *telemetry.Telemetry, error) {
-	var cfg sim.Config
-	switch sys {
-	case SysBaseline:
-		cfg = o.deviceConfig(sim.KindBaseline, footprint, sim.PoolMQ, 200_000)
-	case SysDVP100K:
-		cfg = o.deviceConfig(sim.KindDVP, footprint, sim.PoolMQ, 100_000)
-	case SysDVP200K:
-		cfg = o.deviceConfig(sim.KindDVP, footprint, sim.PoolMQ, 200_000)
-	case SysDVP300K:
-		cfg = o.deviceConfig(sim.KindDVP, footprint, sim.PoolMQ, 300_000)
-	case SysIdeal:
-		cfg = o.deviceConfig(sim.KindDVP, footprint, sim.PoolInfinite, 200_000)
-	case SysLX:
-		cfg = o.deviceConfig(sim.KindLX, footprint, sim.PoolMQ, 200_000)
-	case SysDedup:
-		cfg = o.deviceConfig(sim.KindDedup, footprint, sim.PoolMQ, 200_000)
-	case SysDVPDedup:
-		cfg = o.deviceConfig(sim.KindDVPDedup, footprint, sim.PoolMQ, 200_000)
-	default:
-		return nil, nil, fmt.Errorf("experiments: unknown system %q", sys)
-	}
-	tel := telemetry.New(o.Telemetry)
-	cfg.Telemetry = tel
-	dev, err := sim.NewDevice(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dev, tel, nil
+// systemSpecs gives each matrix system's architecture, pool and pool size
+// in paper entries.
+var systemSpecs = map[System]struct {
+	kind    sim.Kind
+	pool    sim.PoolKind
+	entries int
+}{
+	SysBaseline: {sim.KindBaseline, sim.PoolMQ, 200_000},
+	SysDVP100K:  {sim.KindDVP, sim.PoolMQ, 100_000},
+	SysDVP200K:  {sim.KindDVP, sim.PoolMQ, 200_000},
+	SysDVP300K:  {sim.KindDVP, sim.PoolMQ, 300_000},
+	SysIdeal:    {sim.KindDVP, sim.PoolInfinite, 200_000},
+	SysLX:       {sim.KindLX, sim.PoolMQ, 200_000},
+	SysDedup:    {sim.KindDedup, sim.PoolMQ, 200_000},
+	SysDVPDedup: {sim.KindDVPDedup, sim.PoolMQ, 200_000},
 }
 
 // traceFor generates the workload's trace once per matrix build.
@@ -215,7 +188,7 @@ func RunMatrix(o Options, workloads []string, systems []System) (*Matrix, error)
 	// run per discovery. Generated traces are shared read-only by cells.
 	var failed []CellError
 	for _, sys := range systems {
-		if !knownSystem(sys) {
+		if _, ok := systemSpecs[sys]; !ok {
 			failed = append(failed, CellError{Sys: sys,
 				Err: fmt.Errorf("unknown system %q", sys)})
 		}
@@ -249,34 +222,31 @@ func RunMatrix(o Options, workloads []string, systems []System) (*Matrix, error)
 			cells = append(cells, cell{name, sys})
 		}
 	}
-	results := make([]sim.Result, len(cells))
-	tels := make([]*telemetry.Telemetry, len(cells))
-	errs := parallelCells(len(cells), o.Jobs, func(i int) error {
-		td := traces[cells[i].workload]
-		dev, tel, err := o.buildDevice(cells[i].sys, td.footprint)
-		if err != nil {
-			return err
-		}
-		cellsSimulated.Add(1)
-		tels[i] = tel
-		results[i], err = sim.Run(dev, td.recs, sim.RunOptions{
-			LogicalPages:      td.footprint,
-			PreconditionPages: td.footprint,
-		})
-		return err
-	})
-	for i, c := range cells {
-		if errs[i] != nil {
-			failed = append(failed, CellError{Workload: c.workload, Sys: c.sys, Err: errs[i]})
-			continue
-		}
-		m.Results[c.workload][c.sys] = results[i]
-		if tels[i] != nil {
-			m.Telemetry[c.workload][c.sys] = tels[i]
-		}
+	// A failing cell reports as a one-arm MatrixError: the lowest failing
+	// cell's, whatever the schedule.
+	type cellOut struct {
+		res sim.Result
+		tel *telemetry.Telemetry
 	}
-	if err := matrixError(failed); err != nil {
+	outs, err := runCells(cells, o.Jobs, func(c cell) (cellOut, error) {
+		td, spec := traces[c.workload], systemSpecs[c.sys]
+		cfg := o.deviceConfig(spec.kind, td.footprint, spec.pool, spec.entries)
+		cfg.Telemetry = telemetry.New(o.Telemetry)
+		cellsSimulated.Add(1)
+		_, res, err := runDevice(cfg, td.recs, td.footprint)
+		if err != nil {
+			return cellOut{}, matrixError([]CellError{{Workload: c.workload, Sys: c.sys, Err: err}})
+		}
+		return cellOut{res, cfg.Telemetry}, nil
+	})
+	if err != nil {
 		return nil, err
+	}
+	for i, c := range cells {
+		m.Results[c.workload][c.sys] = outs[i].res
+		if outs[i].tel != nil {
+			m.Telemetry[c.workload][c.sys] = outs[i].tel
+		}
 	}
 	return m, nil
 }

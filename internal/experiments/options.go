@@ -131,7 +131,7 @@ type Options struct {
 }
 
 // DefaultOptions returns the scale used by `zombiectl` unless overridden:
-// 240K requests per workload, three days for the day studies.
+// 600K requests per workload, three days for the day studies.
 func DefaultOptions() Options {
 	return Options{Requests: 600_000, Days: 3, Seed: 1, Utilization: 0.75}
 }

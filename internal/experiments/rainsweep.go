@@ -36,23 +36,20 @@ type RainArm struct {
 	Parity bool // RAIN striping enabled
 	Die    int  // flat index of the killed die
 
-	LostPages     int64 // store pages still destroyed and unreconstructed
-	DataLoss      int   // acknowledged pages failing the end-of-trace oracle
-	Reconstructed int64 // pages rebuilt from surviving members + parity
-	ReconReads    int64 // survivor reads those reconstructions charged
-	ParityWrites  int64 // parity page programs (the redundancy tax)
-	RebuildPages  int64 // dead-die pages re-landed by the rebuild daemon
-	RebuildTime   ssd.Time
-	UECC          int64 // uncorrectable reads surfaced to host/scrub
-	Programs      int64 // flash programs, parity included
-	WA            float64
+	// DeviceMetrics is the replay's activity, preconditioning excluded:
+	// Rain counts reconstructed pages, the survivor reads they charged,
+	// parity programs and pages the rebuild daemon re-landed.
+	sim.DeviceMetrics
+	LostPages   int64 // store pages still destroyed and unreconstructed
+	DataLoss    int   // acknowledged pages failing the end-of-trace oracle
+	RebuildTime ssd.Time
 }
 
 // ParityTax returns parity programs per non-parity flash program — the
 // write-amplification premium the redundancy costs this architecture.
 func (a RainArm) ParityTax() float64 {
-	if data := a.Programs - a.ParityWrites; data > 0 {
-		return float64(a.ParityWrites) / float64(data)
+	if data := a.FlashPrograms - a.Rain.ParityPrograms; data > 0 {
+		return float64(a.Rain.ParityPrograms) / float64(data)
 	}
 	return 0
 }
@@ -65,15 +62,6 @@ type RainsweepResult struct {
 	Arms     []RainArm
 }
 
-// rainCell is one device's life: precondition, replay through the die
-// kill, drain the rebuild daemon, oracle-verify.
-type rainCell struct {
-	m           sim.DeviceMetrics
-	lost        int64
-	dataLoss    int
-	rebuildTime ssd.Time
-}
-
 // rainDrainCap bounds the post-replay rebuild drain in RebuildTick calls
 // per device page; the daemon needs pending/4 working ticks plus one clean
 // full scan, far below this.
@@ -84,8 +72,9 @@ const rainDrainCap = 4
 // reconstruction (parity on) or surfaces as uncorrectable reads the sim
 // layer tolerates (parity off) — then the rebuild daemon is drained and
 // every durably acknowledged page is checked against the oracle.
-func runRainCell(cfg sim.Config, recs []trace.Record, footprint int64) (rainCell, error) {
-	var out rainCell
+func runRainCell(a arm, recs []trace.Record, footprint int64) (RainArm, error) {
+	cfg := a.cfg
+	out := RainArm{Arch: a.name, Parity: cfg.RAIN.Enabled(), Die: cfg.Faults.DieFailDie}
 	dev, c, err := checkedDevice(cfg, footprint)
 	if err != nil {
 		return out, err
@@ -125,11 +114,11 @@ func runRainCell(cfg sim.Config, recs []trace.Record, footprint int64) (rainCell
 		if err := store.CheckRain(); err != nil {
 			return out, fmt.Errorf("experiments: post-drain stripe invariant: %w", err)
 		}
-		out.rebuildTime = store.RebuildEndTime() - store.DieFailTime()
+		out.RebuildTime = store.RebuildEndTime() - store.DieFailTime()
 	}
-	out.m = dev.Metrics().Sub(base)
-	out.lost = store.LostPages()
-	out.dataLoss = len(c.Verify())
+	out.DeviceMetrics = dev.Metrics().Sub(base)
+	out.LostPages = store.LostPages()
+	out.DataLoss = len(c.Verify())
 	return out, nil
 }
 
@@ -162,69 +151,36 @@ func RunRainsweep(o Options) (*RainsweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	archs := crashArchConfigs(small, footprint)
-
-	type armSpec struct {
-		arch   string
-		cfg    sim.Config
-		parity bool
-		die    int
-	}
-	var arms []armSpec
+	var arms []arm
 	rng := uint64(small.Seed)*0x9E3779B97F4A7C15 + 1
-	for _, a := range archs {
-		cfg := a.cfg
+	for _, a := range crashArchConfigs(small, footprint) {
+		cfg := &a.cfg
 		if !cfg.Scrub.Enabled() {
 			cfg.Scrub = defaultPatrol(cfg.Geometry)
 		}
 		dies := cfg.Geometry.TotalChips() * cfg.Geometry.DiesPerChip
-		die := int(splitmix64(&rng) % uint64(dies))
 		cfg.Faults.DieFailAtOp = footprint + int64(len(recs)/rainDieFailDivisor)
-		cfg.Faults.DieFailDie = die
+		cfg.Faults.DieFailDie = int(splitmix64(&rng) % uint64(dies))
 
-		off := cfg
-		off.RAIN = rain.Config{}
-		on := cfg
-		if !on.RAIN.Enabled() {
-			on.RAIN = rain.Config{Enable: true}
+		off := a
+		off.cfg.RAIN = rain.Config{}
+		on := a
+		if !on.cfg.RAIN.Enabled() {
+			on.cfg.RAIN = rain.Config{Enable: true}
 		}
-		arms = append(arms,
-			armSpec{arch: a.name, cfg: off, die: die},
-			armSpec{arch: a.name, cfg: on, parity: true, die: die})
+		arms = append(arms, off, on)
 	}
-
-	results := make([]rainCell, len(arms))
-	errs := parallelCells(len(arms), small.Jobs, func(i int) error {
-		var err error
-		if results[i], err = runRainCell(arms[i].cfg, recs, footprint); err != nil {
-			return fmt.Errorf("experiments: rainsweep %s (parity=%v): %w", arms[i].arch, arms[i].parity, err)
+	out, err := runCells(arms, small.Jobs, func(a arm) (RainArm, error) {
+		r, err := runRainCell(a, recs, footprint)
+		if err != nil {
+			return r, fmt.Errorf("experiments: rainsweep %s (parity=%v): %w", a.name, r.Parity, err)
 		}
-		return nil
+		return r, nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-
-	out := &RainsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.Seed}
-	for i, arm := range arms {
-		r := results[i]
-		out.Arms = append(out.Arms, RainArm{
-			Arch:          arm.arch,
-			Parity:        arm.parity,
-			Die:           arm.die,
-			LostPages:     r.lost,
-			DataLoss:      r.dataLoss,
-			Reconstructed: r.m.Rain.ReconstructedPages,
-			ReconReads:    r.m.Rain.ReconstructionReads,
-			ParityWrites:  r.m.Rain.ParityPrograms,
-			RebuildPages:  r.m.Rain.RebuildPages,
-			RebuildTime:   r.rebuildTime,
-			UECC:          r.m.Faults.UncorrectableReads,
-			Programs:      r.m.FlashPrograms,
-			WA:            r.m.WriteAmplification(),
-		})
-	}
-	return out, nil
+	return &RainsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.Seed, Arms: out}, nil
 }
 
 // Table renders the sweep; the parity-on rows carry each architecture's
@@ -242,11 +198,11 @@ func (r *RainsweepResult) Table() Table {
 			fmt.Sprintf("%d", a.Die),
 			fmt.Sprintf("%d", a.LostPages),
 			fmt.Sprintf("%d", a.DataLoss),
-			fmt.Sprintf("%d", a.Reconstructed),
-			fmt.Sprintf("%d", a.RebuildPages),
+			fmt.Sprintf("%d", a.Rain.ReconstructedPages),
+			fmt.Sprintf("%d", a.Rain.RebuildPages),
 			fmt.Sprintf("%.1f", float64(a.RebuildTime)/float64(ssd.Millisecond)),
-			fmt.Sprintf("%d", a.ParityWrites),
-			fmt.Sprintf("%.2f", a.WA),
+			fmt.Sprintf("%d", a.Rain.ParityPrograms),
+			fmt.Sprintf("%.2f", a.WriteAmplification()),
 			tax,
 		})
 	}

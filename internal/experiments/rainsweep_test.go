@@ -30,10 +30,10 @@ func TestRainsweepDieFailureSurvival(t *testing.T) {
 			if a.DataLoss != 0 {
 				t.Errorf("%s parity-on: %d oracle violations", a.Arch, a.DataLoss)
 			}
-			if a.Reconstructed == 0 {
+			if a.Rain.ReconstructedPages == 0 {
 				t.Errorf("%s parity-on: survived without reconstructing anything — die kill ineffective?", a.Arch)
 			}
-			if a.ParityWrites == 0 || a.ParityTax() <= 0 {
+			if a.Rain.ParityPrograms == 0 || a.ParityTax() <= 0 {
 				t.Errorf("%s parity-on: no parity writes recorded", a.Arch)
 			}
 		} else {

@@ -57,19 +57,17 @@ const scrubSweepFloor = 24_000
 // end — every durably acknowledged page must still read back.
 type ScrubArm struct {
 	Arch     string
-	Scrub    bool     // background patrol enabled
+	Patrol   bool     // background patrol enabled
 	Interval ssd.Time // per-block patrol interval (0 when disabled)
 
-	UECC          int64 // uncorrectable reads (host, GC, scrub or verify)
-	Correctable   int64 // reads that needed the ECC retry path
-	Revived       int64 // zombie revivals that passed the integrity gate
-	Declined      int64 // revivals refused on estimated RBER or verify read
-	ScrubReads    int64 // patrol sample + pre-refresh reads
-	Refreshed     int64 // pages refresh-relocated by the patrol
-	RefreshWrites int64 // refresh programs charged to the flash
-	DataLoss      int   // acknowledged pages unreadable at end of trace
-	ReadP99       ssd.Time
-	Makespan      ssd.Time
+	// DeviceMetrics is the replay's activity, preconditioning excluded:
+	// Faults counts uncorrectable and correctable reads, declined
+	// revivals and refresh programs; Scrub the patrol's reads and
+	// refresh relocations.
+	sim.DeviceMetrics
+	DataLoss int // acknowledged pages unreadable at end of trace
+	ReadP99  ssd.Time
+	Makespan ssd.Time
 }
 
 // ScrubsweepResult is the rendered outcome of RunScrubsweep.
@@ -80,22 +78,13 @@ type ScrubsweepResult struct {
 	Arms     []ScrubArm
 }
 
-// integrityCell is one device's life under the error model: precondition,
-// replay, oracle-verify.
-type integrityCell struct {
-	m        sim.DeviceMetrics
-	dataLoss int
-	readP99  ssd.Time
-	makespan ssd.Time
-}
-
 // runIntegrityCell replays the trace on a fresh device with the integrity
 // model armed, tracking host read latency and checking every durably
 // acknowledged page at the end. Unlike the crash sweep nothing interrupts
 // the run — any error is fatal.
-func runIntegrityCell(cfg sim.Config, recs []trace.Record, footprint int64) (integrityCell, error) {
-	var out integrityCell
-	dev, c, err := checkedDevice(cfg, footprint)
+func runIntegrityCell(a arm, recs []trace.Record, footprint int64) (ScrubArm, error) {
+	out := ScrubArm{Arch: a.name, Patrol: a.cfg.Scrub.Enabled(), Interval: a.cfg.Scrub.Interval}
+	dev, c, err := checkedDevice(a.cfg, footprint)
 	if err != nil {
 		return out, err
 	}
@@ -111,10 +100,10 @@ func runIntegrityCell(cfg sim.Config, recs []trace.Record, footprint int64) (int
 			lats = append(lats, done-c.Shift-ssd.Time(rec.Time))
 		}
 	}
-	out.m = dev.Metrics().Sub(base)
-	out.dataLoss = len(c.Verify())
-	out.readP99 = timeP99(lats)
-	out.makespan = c.End
+	out.DeviceMetrics = dev.Metrics().Sub(base)
+	out.DataLoss = len(c.Verify())
+	out.ReadP99 = timeP99(lats)
+	out.Makespan = c.End
 	return out, nil
 }
 
@@ -173,58 +162,27 @@ func RunScrubsweep(o Options) (*ScrubsweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	archs := crashArchConfigs(small, footprint)
-
-	type armSpec struct {
-		arch  string
-		cfg   sim.Config
-		scrub bool
-	}
-	var arms []armSpec
-	for _, a := range archs {
-		off := a.cfg
-		off.Scrub = scrub.Config{}
-		on := a.cfg
-		if !on.Scrub.Enabled() {
-			on.Scrub = defaultPatrol(on.Geometry)
+	var arms []arm
+	for _, a := range crashArchConfigs(small, footprint) {
+		off := a
+		off.cfg.Scrub = scrub.Config{}
+		on := a
+		if !on.cfg.Scrub.Enabled() {
+			on.cfg.Scrub = defaultPatrol(on.cfg.Geometry)
 		}
-		arms = append(arms,
-			armSpec{arch: a.name, cfg: off},
-			armSpec{arch: a.name, cfg: on, scrub: true})
+		arms = append(arms, off, on)
 	}
-
-	results := make([]integrityCell, len(arms))
-	errs := parallelCells(len(arms), small.Jobs, func(i int) error {
-		var err error
-		if results[i], err = runIntegrityCell(arms[i].cfg, recs, footprint); err != nil {
-			return fmt.Errorf("experiments: scrubsweep %s (scrub=%v): %w", arms[i].arch, arms[i].scrub, err)
+	out, err := runCells(arms, small.Jobs, func(a arm) (ScrubArm, error) {
+		r, err := runIntegrityCell(a, recs, footprint)
+		if err != nil {
+			return r, fmt.Errorf("experiments: scrubsweep %s (scrub=%v): %w", a.name, r.Patrol, err)
 		}
-		return nil
+		return r, nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
-
-	out := &ScrubsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.Seed}
-	for i, arm := range arms {
-		r := results[i]
-		out.Arms = append(out.Arms, ScrubArm{
-			Arch:          arm.arch,
-			Scrub:         arm.scrub,
-			Interval:      arm.cfg.Scrub.Interval,
-			UECC:          r.m.Faults.UncorrectableReads,
-			Correctable:   r.m.Faults.CorrectableReads,
-			Revived:       r.m.Revived,
-			Declined:      r.m.Faults.RevivalsDeclined,
-			ScrubReads:    r.m.Scrub.ScrubReads,
-			Refreshed:     r.m.Scrub.Refreshed,
-			RefreshWrites: r.m.Faults.RefreshWrites,
-			DataLoss:      r.dataLoss,
-			ReadP99:       r.readP99,
-			Makespan:      r.makespan,
-		})
-	}
-	return out, nil
+	return &ScrubsweepResult{Workload: workloadName, Requests: small.Requests, Seed: small.Seed, Arms: out}, nil
 }
 
 // Table renders the sweep.
@@ -232,17 +190,17 @@ func (r *ScrubsweepResult) Table() Table {
 	rows := make([][]string, 0, len(r.Arms))
 	for _, a := range r.Arms {
 		mode := "off"
-		if a.Scrub {
+		if a.Patrol {
 			mode = fmt.Sprintf("%dµs", a.Interval)
 		}
 		rows = append(rows, []string{
 			a.Arch, mode,
-			fmt.Sprintf("%d", a.UECC),
-			fmt.Sprintf("%d", a.Correctable),
+			fmt.Sprintf("%d", a.Faults.UncorrectableReads),
+			fmt.Sprintf("%d", a.Faults.CorrectableReads),
 			fmt.Sprintf("%d", a.Revived),
-			fmt.Sprintf("%d", a.Declined),
-			fmt.Sprintf("%d", a.ScrubReads),
-			fmt.Sprintf("%d", a.Refreshed),
+			fmt.Sprintf("%d", a.Faults.RevivalsDeclined),
+			fmt.Sprintf("%d", a.Scrub.ScrubReads),
+			fmt.Sprintf("%d", a.Scrub.Refreshed),
 			fmt.Sprintf("%d", a.DataLoss),
 			usec(float64(a.ReadP99)),
 		})

@@ -39,7 +39,7 @@ func scrubArmPairs(t *testing.T, r *ScrubsweepResult) map[string][2]*ScrubArm {
 	for i := range r.Arms {
 		a := &r.Arms[i]
 		p := pairs[a.Arch]
-		if a.Scrub {
+		if a.Patrol {
 			p[1] = a
 		} else {
 			p[0] = a
@@ -76,9 +76,9 @@ func TestScrubsweepSmoke(t *testing.T) {
 	var offUECC int64
 	for arch, p := range pairs {
 		off, on := p[0], p[1]
-		offUECC += off.UECC
+		offUECC += off.Faults.UncorrectableReads
 		offLoss += off.DataLoss
-		if off.ScrubReads != 0 || off.Refreshed != 0 {
+		if off.Scrub.ScrubReads != 0 || off.Scrub.Refreshed != 0 {
 			t.Errorf("%s: patrol activity in the scrub-off control: %+v", arch, *off)
 		}
 		if on.DataLoss != 0 {
@@ -89,7 +89,7 @@ func TestScrubsweepSmoke(t *testing.T) {
 		}
 		// Refreshed can exceed RefreshWrites: making room for a refresh may
 		// let GC relocate the page first, which the scrubber still counts.
-		if on.ScrubReads == 0 || on.RefreshWrites == 0 || on.RefreshWrites > on.Refreshed {
+		if on.Scrub.ScrubReads == 0 || on.Faults.RefreshWrites == 0 || on.Faults.RefreshWrites > on.Scrub.Refreshed {
 			t.Errorf("%s: patrol accounting inconsistent: %+v", arch, *on)
 		}
 		// The patrol works in idle windows: it may lengthen the read tail
@@ -107,10 +107,10 @@ func TestScrubsweepSmoke(t *testing.T) {
 	// The revival integrity gate: with scrub off, the dvp arm must both
 	// hit uncorrectable reads and decline decayed zombies.
 	dvp := pairs["dvp"][0]
-	if dvp.UECC == 0 {
+	if dvp.Faults.UncorrectableReads == 0 {
 		t.Error("dvp without patrol saw no uncorrectable reads")
 	}
-	if dvp.Declined == 0 {
+	if dvp.Faults.RevivalsDeclined == 0 {
 		t.Error("dvp without patrol declined no revivals; the RBER gate never fired")
 	}
 	if dvp.Revived == 0 {
@@ -120,16 +120,18 @@ func TestScrubsweepSmoke(t *testing.T) {
 }
 
 // TestScrubsweepDeterministic pins that the sweep is a pure function of
-// its options: byte-identical counters across two identical runs.
+// its options: byte-identical counters for one worker and for four.
 func TestScrubsweepDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twenty full replays in -short mode")
 	}
-	a, err := RunScrubsweep(smallOpts())
+	serial, parallel := smallOpts(), smallOpts()
+	serial.Jobs, parallel.Jobs = 1, 4
+	a, err := RunScrubsweep(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunScrubsweep(smallOpts())
+	b, err := RunScrubsweep(parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestScrubsweepDeterministic(t *testing.T) {
 	}
 	for i := range a.Arms {
 		if a.Arms[i] != b.Arms[i] {
-			t.Errorf("arm %d differs across identical runs:\n %+v\n %+v", i, a.Arms[i], b.Arms[i])
+			t.Errorf("arm %d differs between 1 and 4 workers:\n %+v\n %+v", i, a.Arms[i], b.Arms[i])
 		}
 	}
 }

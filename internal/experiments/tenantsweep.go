@@ -53,7 +53,7 @@ type TenantsweepResult struct {
 	Cells      []TenantCell
 }
 
-// tenantArchConfigs lists the five swept architectures by name; device
+// tenantArchKinds lists the five swept architectures by name; device
 // configs come from Options.deviceConfig per cell (footprints differ by
 // tenant set).
 var tenantArchKinds = []struct {
@@ -151,41 +151,16 @@ func RunTenantsweep(o Options) (*TenantsweepResult, error) {
 			}
 		}
 	}
-
-	runCell := func(c cellSpec) (TenantCell, error) {
-		traces, err := sim.GenerateTenants(c.set.cfgs, requests, o.Seed)
+	results, err := runCells(cells, o.Jobs, func(c cellSpec) (TenantCell, error) {
+		tenants, err := runTenantCell(c.set.cfgs, requests, o.Seed,
+			func(fp int64) sim.Config { return o.deviceConfig(c.kind, fp, sim.PoolMQ, 200_000) },
+			c.policy, qd)
 		if err != nil {
-			return TenantCell{}, err
+			return TenantCell{}, fmt.Errorf("experiments: tenantsweep %s/%v/%s: %w", c.arch, c.policy, c.set.label, err)
 		}
-		footprint := sim.TotalFootprint(traces)
-		cfg := o.deviceConfig(c.kind, footprint, sim.PoolMQ, 200_000)
-		dev, err := sim.NewDevice(cfg)
-		if err != nil {
-			return TenantCell{}, err
-		}
-		mr, err := sim.RunTenants(dev, traces, sim.EngineOptions{
-			Arbiter:           c.policy,
-			QueueDepth:        qd,
-			DeviceSlots:       qd,
-			PreconditionPages: footprint,
-			LogicalPages:      footprint,
-		})
-		if err != nil {
-			return TenantCell{}, err
-		}
-		return TenantCell{Arch: c.arch, Policy: c.policy, Label: c.set.label, Tenants: mr.Tenants}, nil
-	}
-
-	results := make([]TenantCell, len(cells))
-	errs := parallelCells(len(cells), o.Jobs, func(i int) error {
-		var err error
-		if results[i], err = runCell(cells[i]); err != nil {
-			return fmt.Errorf("experiments: tenantsweep %s/%v/%s: %w",
-				cells[i].arch, cells[i].policy, cells[i].set.label, err)
-		}
-		return nil
+		return TenantCell{Arch: c.arch, Policy: c.policy, Label: c.set.label, Tenants: tenants}, nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &TenantsweepResult{Requests: requests, Seed: o.Seed, QueueDepth: qd, Cells: results}, nil

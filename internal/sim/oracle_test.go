@@ -54,8 +54,7 @@ func TestChecked(t *testing.T) {
 				return ref, dev, c
 			}
 
-			// The fill alone. ReadHash probes count buffer read hits, so
-			// the replay below runs on devices the probes never touched.
+			// The fill alone; the replay below runs on fresh devices.
 			ref, dev, c := devices()
 			if _, err := Run(ref, nil, opts); err != nil {
 				t.Fatal(err)
@@ -102,8 +101,14 @@ func TestChecked(t *testing.T) {
 			if got := c.End - c.Shift; got != res.Makespan {
 				t.Errorf("replay makespan %d, sim.Run's %d", got, res.Makespan)
 			}
+			before = dev.Metrics()
 			if v := c.Verify(); len(v) > 0 {
 				t.Errorf("%d oracle violations after the replay, first: %v", len(v), v[0])
+			}
+			// The oracle's probes are not host reads: no counter moves,
+			// buffer read hits included.
+			if got := dev.Metrics(); !reflect.DeepEqual(got, before) {
+				t.Errorf("Verify moved the device's metrics:\n got %+v\nwant %+v", got, before)
 			}
 		})
 	}

@@ -294,8 +294,9 @@ func (d *bufferedDevice) Recover(opts RecoverOptions) (recovery.Report, error) {
 }
 
 // ReadHash implements HashReader: dirty buffered pages first, flash after.
+// It is a probe, not a host read, so it counts no buffer read hit.
 func (d *bufferedDevice) ReadHash(lpn ftl.LPN) (trace.Hash, bool) {
-	if h, ok := d.buf.Get(lpn); ok {
+	if h, ok := d.buf.Peek(lpn); ok {
 		return h, true
 	}
 	hr, ok := d.inner.(HashReader)

@@ -90,15 +90,24 @@ func (b *Buffer) Put(lpn ftl.LPN, h trace.Hash) (evictLPN ftl.LPN, evictHash tra
 	return victim.lpn, victim.hash, true
 }
 
-// Get returns the buffered content of lpn, if dirty in the buffer. Reads
-// do not change eviction order (the buffer orders by write recency, as
-// BPLRU's block-level padding concerns writes).
+// Get returns the buffered content of lpn, if dirty in the buffer, and
+// counts the read hit. Reads do not change eviction order (the buffer
+// orders by write recency, as BPLRU's block-level padding concerns writes).
 func (b *Buffer) Get(lpn ftl.LPN) (trace.Hash, bool) {
+	h, ok := b.Peek(lpn)
+	if ok {
+		b.stats.ReadHits++
+	}
+	return h, ok
+}
+
+// Peek is Get without the read-hit count, for probes that are not host
+// reads.
+func (b *Buffer) Peek(lpn ftl.LPN) (trace.Hash, bool) {
 	n, ok := b.pages[lpn]
 	if !ok {
 		return trace.Hash{}, false
 	}
-	b.stats.ReadHits++
 	return n.hash, true
 }
 

@@ -41,6 +41,10 @@ func TestPutGetCoalesce(t *testing.T) {
 	if st.Puts != 2 || st.Coalesced != 1 || st.ReadHits != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
+	// Peek reads the same content without counting a hit.
+	if got, ok := b.Peek(1); !ok || got != h(2) || b.Stats().ReadHits != 2 {
+		t.Fatalf("Peek = %v, %v with %d read hits, want h(2), true, 2", got, ok, b.Stats().ReadHits)
+	}
 }
 
 func TestEvictionOrderIsWriteLRU(t *testing.T) {
